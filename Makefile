@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet fmt lint matrix capmanifest hotpath check bench bench-diff fuzz cover
+.PHONY: build test race vet fmt lint matrix capmanifest hotpath check bench bench-diff flat-cost fuzz cover
 
 build:
 	$(GO) build ./...
@@ -69,6 +69,14 @@ bench:
 bench-diff:
 	$(GO) test -run '^$$' -bench 'BenchmarkBootPipeline|BenchmarkTable61_Memory|BenchmarkTable62_Boot|BenchmarkFig61_Postmark|BenchmarkDataPath_TxBatching|BenchmarkDataPath_Saturation10G|BenchmarkMicro_GrantMap|BenchmarkMicro_XenStoreWrite|BenchmarkMicro_RingBatchPop|BenchmarkMicro_SimEventsPerSec|BenchmarkClusterChurn|BenchmarkSec_AttackTaxonomy' -benchtime=1x -benchmem . | tee bench.out
 	$(GO) run ./cmd/benchdiff -baseline BENCH_baseline.json -hotpath HOTPATH.json bench.out
+
+# flat-cost is the wall-clock half of the flat per-guest cost gate: best-of-3
+# ns/guest churning 40k guests through the 8-host fleet over ns/guest at 5k
+# must stay <= 1.4. A control-plane path that scans every guest a host has
+# ever run fails it. The deterministic half (retained heap per destroyed
+# guest) runs in tier-1 as TestChurnRetainsNoPerGuestState.
+flat-cost:
+	$(GO) test -run '^$$' -bench '^BenchmarkFlatPerGuestWallCost$$' -benchtime=1x .
 
 # fuzz runs the hypercall-sequence fuzzer against the manifest oracle. CI
 # uses the default 60s smoke on every PR and FUZZTIME=10m on the nightly

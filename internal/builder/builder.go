@@ -112,7 +112,8 @@ type Builder struct {
 	// authorized lists principals allowed privileged builds (the
 	// Bootstrapper during boot; the Builder itself afterwards).
 	authorized map[xtypes.DomID]bool
-	// records remembers each build so a failed shard can be reconstructed.
+	// records remembers each shard build (device models excepted) so a
+	// failed shard can be reconstructed.
 	records map[xtypes.DomID]record
 }
 
@@ -517,7 +518,13 @@ func (b *Builder) construct(p *sim.Proc, img osimage.Image, req Request) (xtypes
 	}
 	b.Builds++
 	b.m.builds.Inc()
-	b.records[d.ID] = record{req: req, boot: img.BootTime()}
+	if req.Shard && !req.qemu() {
+		// Only shards are ever rebuilt or recovered. A plain guest's record,
+		// or that of a device model (which lives and dies with its guest and
+		// is never rebuilt), would outlive the guest for as long as the host
+		// runs.
+		b.records[d.ID] = record{req: req, boot: img.BootTime()}
+	}
 	return d.ID, img.BootTime(), nil
 }
 

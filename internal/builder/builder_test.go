@@ -337,3 +337,122 @@ func TestRestartEngineRollsBackDelegatedShard(t *testing.T) {
 		t.Fatalf("rebuilds = %d", b.Rebuilds)
 	}
 }
+
+// Plain guests and HVM device models leave no build record behind: the
+// Builder lives as long as the host, so a per-guest record would grow with
+// every guest ever built. Shard records, which Rebuild and Recover need,
+// are still kept.
+func TestGuestChurnKeepsRecordsBounded(t *testing.T) {
+	env, h, b := newRig(t)
+	defer env.Shutdown()
+	ts := newShard(t, h, "toolstack")
+	bs := newShard(t, h, "bootstrap", xtypes.HyperDelegateAdmin)
+	b.Authorize(bs)
+
+	var shard xtypes.DomID
+	run(t, env, 30*sim.Second, func(p *sim.Proc) {
+		var err error
+		shard, err = b.Submit(p, builder.Request{Requester: bs, Name: "netback", Image: osimage.ImgNetBack, Shard: true,
+			Privileges: hv.Assignment{Hypercalls: []xtypes.Hypercall{xtypes.HyperVMSnapshot}}})
+		if err != nil {
+			t.Errorf("shard build: %v", err)
+		}
+	})
+	base := builder.Records(b)
+	if base != 1 {
+		t.Fatalf("records after one shard build = %d, want 1", base)
+	}
+
+	const n = 50
+	for i := 0; i < n; i++ {
+		var g xtypes.DomID
+		run(t, env, 60*sim.Second, func(p *sim.Proc) {
+			var err error
+			g, err = b.Submit(p, builder.Request{Requester: ts, Name: fmt.Sprintf("g%d", i), Image: osimage.ImgGuestPV})
+			if err != nil {
+				t.Errorf("guest %d: %v", i, err)
+			}
+		})
+		if err := h.DestroyDomain(hv.SystemCaller, g, "done"); err != nil {
+			t.Fatal(err)
+		}
+		if got := builder.Records(b); got != base {
+			t.Fatalf("records after %d guests = %d, want %d", i+1, got, base)
+		}
+	}
+
+	// HVM guests: each carries a device-model stub, which the Builder
+	// builds as a shard. Neither may leave a record once both are gone.
+	for i := 0; i < n; i++ {
+		var g, q xtypes.DomID
+		run(t, env, 60*sim.Second, func(p *sim.Proc) {
+			var err error
+			g, err = b.Submit(p, builder.Request{Requester: ts, Name: fmt.Sprintf("hvm%d", i), Image: osimage.ImgGuestHVM})
+			if err != nil {
+				t.Errorf("hvm guest %d: %v", i, err)
+				return
+			}
+			q, err = b.Submit(p, builder.Request{Requester: ts, Name: fmt.Sprintf("hvm%d-qemu", i), QemuFor: g})
+			if err != nil {
+				t.Errorf("hvm guest %d qemu: %v", i, err)
+			}
+		})
+		if t.Failed() {
+			t.FailNow()
+		}
+		for _, dom := range []xtypes.DomID{q, g} {
+			if err := h.DestroyDomain(hv.SystemCaller, dom, "done"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := builder.Records(b); got != base {
+			t.Fatalf("records after %d hvm guests = %d, want %d", i+1, got, base)
+		}
+	}
+
+	// The shard record survived the churn: a crashed shard still rebuilds.
+	if err := h.Delegate(bs, shard, b.Dom()); err != nil {
+		t.Fatal(err)
+	}
+	if err := h.DestroyDomain(hv.SystemCaller, shard, "driver crash"); err != nil {
+		t.Fatal(err)
+	}
+	var newDom xtypes.DomID
+	run(t, env, 30*sim.Second, func(p *sim.Proc) {
+		var err error
+		newDom, err = b.Recover(p, shard)
+		if err != nil {
+			t.Errorf("recover: %v", err)
+		}
+	})
+	nd, err := h.Domain(newDom)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !nd.IsShard() || nd.Name != "netback" || b.Rebuilds != 1 {
+		t.Fatalf("rebuilt shard=%v name=%q rebuilds=%d", nd.IsShard(), nd.Name, b.Rebuilds)
+	}
+	if got := builder.Records(b); got != base {
+		t.Fatalf("records after rebuild = %d, want %d", got, base)
+	}
+	// And a plain guest never has a record to rebuild from.
+	var g xtypes.DomID
+	run(t, env, 60*sim.Second, func(p *sim.Proc) {
+		var err error
+		g, err = b.Submit(p, builder.Request{Requester: ts, Name: "late", Image: osimage.ImgGuestPV})
+		if err != nil {
+			t.Errorf("late guest: %v", err)
+		}
+	})
+	if t.Failed() {
+		t.FailNow()
+	}
+	if err := h.DestroyDomain(hv.SystemCaller, g, "done"); err != nil {
+		t.Fatal(err)
+	}
+	run(t, env, 30*sim.Second, func(p *sim.Proc) {
+		if _, err := b.Rebuild(p, g); !errors.Is(err, xtypes.ErrNotFound) {
+			t.Errorf("rebuild of a plain guest: %v, want ErrNotFound", err)
+		}
+	})
+}

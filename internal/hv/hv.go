@@ -17,7 +17,9 @@
 package hv
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"xoar/internal/evtchn"
 	"xoar/internal/grant"
@@ -244,16 +246,20 @@ func (h *Hypervisor) Domain(id xtypes.DomID) (*Domain, error) {
 	return d, nil
 }
 
-// Domains lists live domains in creation order.
+// Domains lists live domains in creation order, which is ID order: IDs
+// only ever increase.
 func (h *Hypervisor) Domains() []*Domain {
 	var out []*Domain
-	for id := xtypes.DomID(0); id < h.nextID; id++ {
-		if d, ok := h.domains[id]; ok && d.State != StateDead {
+	for _, d := range h.domains {
+		if d.State != StateDead {
 			out = append(out, d)
 		}
 	}
+	slices.SortFunc(out, byID)
 	return out
 }
+
+func byID(a, b *Domain) int { return cmp.Compare(a.ID, b.ID) }
 
 // check verifies that caller may invoke hc at all.
 func (h *Hypervisor) check(caller xtypes.DomID, hc xtypes.Hypercall) (*Domain, error) {
@@ -429,12 +435,17 @@ func (h *Hypervisor) destroy(d *Domain, reason string) error {
 	// A dead guest's shard-client links would dangle: close each shard's
 	// exposure window over it exactly as an explicit unlink would, so the
 	// audit log's interval index does not report the dead domain as a
-	// dependent forever. Shards are visited in ID order for determinism.
-	for id := xtypes.DomID(0); id < h.nextID; id++ {
-		s, ok := h.domains[id]
-		if !ok || !s.Cfg.Shard || !s.clients[d.ID] {
-			continue
+	// dependent forever. Only live shards hold links, so walk the live map:
+	// teardown cost must not grow with the number of domains the host has
+	// ever run. Shards are visited in ID order for determinism.
+	var linked []*Domain
+	for _, s := range h.domains {
+		if s.Cfg.Shard && s.clients[d.ID] {
+			linked = append(linked, s)
 		}
+	}
+	slices.SortFunc(linked, byID)
+	for _, s := range linked {
 		delete(s.clients, d.ID)
 		h.emit("unlink-shard", s.ID, d.ID.String())
 	}

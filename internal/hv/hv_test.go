@@ -2,6 +2,7 @@ package hv
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"xoar/internal/hw"
@@ -611,5 +612,133 @@ func TestCreateDomainRollsBackIDOnFailure(t *testing.T) {
 	d := mkDom(t, h, "after", true)
 	if d.ID != 0 {
 		t.Fatalf("id after failed create = %v", d.ID)
+	}
+}
+
+// unlinks records the (shard, client) pairs of every unlink-shard event the
+// hypervisor emits, in emission order.
+func unlinks(h *Hypervisor) *[]string {
+	var got []string
+	h.Sink = func(e Event) {
+		if e.Kind == "unlink-shard" {
+			got = append(got, e.Dom.String()+"->"+e.Arg)
+		}
+	}
+	return &got
+}
+
+func TestDestroyUnlinksEveryShardInIDOrder(t *testing.T) {
+	_, h := newHV(true)
+	var shards []*Domain
+	for i := 0; i < 8; i++ {
+		shards = append(shards, mkDom(t, h, "shard", true))
+	}
+	guest := mkDom(t, h, "guest", false)
+	other := mkDom(t, h, "other", false)
+	// Link out of ID order, so only an explicit sort yields ascending IDs.
+	for _, i := range []int{6, 1, 4, 7, 2} {
+		if err := h.LinkShardClient(SystemCaller, shards[i].ID, guest.ID); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := h.LinkShardClient(SystemCaller, shards[3].ID, other.ID); err != nil {
+		t.Fatal(err)
+	}
+	got := unlinks(h)
+	if err := h.DestroyDomain(SystemCaller, guest.ID, "gone"); err != nil {
+		t.Fatal(err)
+	}
+	var want []string
+	for _, i := range []int{1, 2, 4, 6, 7} {
+		want = append(want, shards[i].ID.String()+"->"+guest.ID.String())
+	}
+	if !slices.Equal(*got, want) {
+		t.Fatalf("unlink-shard events = %v, want %v", *got, want)
+	}
+	for _, s := range shards {
+		if slices.Contains(s.Clients(), guest.ID) {
+			t.Fatalf("%v still lists dead %v as a client", s.ID, guest.ID)
+		}
+	}
+	if !slices.Equal(shards[3].Clients(), []xtypes.DomID{other.ID}) {
+		t.Fatalf("unrelated link disturbed: %v", shards[3].Clients())
+	}
+}
+
+func TestDestroyUnlinksClientLinkedBeforeCreation(t *testing.T) {
+	_, h := newHV(true)
+	shard := mkDom(t, h, "netback", true)
+	// LinkShardClient does not require the guest to exist yet.
+	future := xtypes.DomID(1)
+	if err := h.LinkShardClient(SystemCaller, shard.ID, future); err != nil {
+		t.Fatal(err)
+	}
+	guest := mkDom(t, h, "guest", false)
+	if guest.ID != future {
+		t.Fatalf("guest id = %v, want %v", guest.ID, future)
+	}
+	got := unlinks(h)
+	if err := h.DestroyDomain(SystemCaller, guest.ID, "gone"); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{shard.ID.String() + "->" + guest.ID.String()}
+	if !slices.Equal(*got, want) {
+		t.Fatalf("unlink-shard events = %v, want %v", *got, want)
+	}
+	if len(shard.Clients()) != 0 {
+		t.Fatalf("stale link: %v", shard.Clients())
+	}
+}
+
+func TestDestroyAfterShardDeathEmitsNoUnlink(t *testing.T) {
+	_, h := newHV(true)
+	dead := mkDom(t, h, "old-netback", true)
+	live := mkDom(t, h, "blkback", true)
+	guest := mkDom(t, h, "guest", false)
+	for _, s := range []*Domain{dead, live} {
+		if err := h.LinkShardClient(SystemCaller, s.ID, guest.ID); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got := unlinks(h)
+	if err := h.DestroyDomain(SystemCaller, dead.ID, "restart"); err != nil {
+		t.Fatal(err)
+	}
+	if len(*got) != 0 {
+		t.Fatalf("shard destroy emitted %v", *got)
+	}
+	if err := h.DestroyDomain(SystemCaller, guest.ID, "gone"); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{live.ID.String() + "->" + guest.ID.String()}
+	if !slices.Equal(*got, want) {
+		t.Fatalf("unlink-shard events = %v, want %v", *got, want)
+	}
+}
+
+func TestDomainsKeepsCreationOrderAcrossDestroys(t *testing.T) {
+	_, h := newHV(true)
+	var ids []xtypes.DomID
+	for i := 0; i < 6; i++ {
+		ids = append(ids, mkDom(t, h, "d", i%2 == 0).ID)
+	}
+	for _, i := range []int{1, 3} {
+		if err := h.DestroyDomain(SystemCaller, ids[i], "gone"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 2; i++ {
+		ids = append(ids, mkDom(t, h, "late", false).ID)
+	}
+	if err := h.DestroyDomain(SystemCaller, ids[0], "gone"); err != nil {
+		t.Fatal(err)
+	}
+	var got []xtypes.DomID
+	for _, d := range h.Domains() {
+		got = append(got, d.ID)
+	}
+	want := []xtypes.DomID{ids[2], ids[4], ids[5], ids[6], ids[7]}
+	if !slices.Equal(got, want) {
+		t.Fatalf("Domains() = %v, want %v", got, want)
 	}
 }

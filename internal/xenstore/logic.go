@@ -124,6 +124,15 @@ func NewLogic(env *sim.Env, state *State) *Logic {
 	}
 }
 
+// addOwned adjusts dom's owned-node count, deleting the entry when it
+// reaches zero so a dead domain leaves no quota state behind.
+func (l *Logic) addOwned(dom xtypes.DomID, delta int) {
+	l.owned[dom] += delta
+	if l.owned[dom] == 0 {
+		delete(l.owned, dom)
+	}
+}
+
 // SetQuota replaces the per-domain quota.
 func (l *Logic) SetQuota(q Quota) { l.quota = q }
 
@@ -366,7 +375,7 @@ func (c *Conn) writeCommitted(path, value string) error {
 		child := newNode(c.dom)
 		n.children[p] = child
 		n = child
-		l.owned[c.dom]++
+		l.addOwned(c.dom, 1)
 	}
 	if creating == 0 {
 		// Node existed: need write perm on it specifically.
@@ -431,7 +440,7 @@ func (c *Conn) rmCommitted(path string) error {
 	// Account owned nodes of the removed subtree.
 	var countOwned func(n *node)
 	countOwned = func(n *node) {
-		l.owned[n.owner]--
+		l.addOwned(n.owner, -1)
 		for _, ch := range n.children {
 			countOwned(ch)
 		}
@@ -532,8 +541,8 @@ func (c *Conn) SetPerms(path string, perms Perms) error {
 		return fmt.Errorf("xenstore: setperms %s by %v: %w", path, c.dom, xtypes.ErrPerm)
 	}
 	if n.owner != perms.Owner {
-		c.logic.owned[n.owner]--
-		c.logic.owned[perms.Owner]++
+		c.logic.addOwned(n.owner, -1)
+		c.logic.addOwned(perms.Owner, 1)
 	}
 	n.owner = perms.Owner
 	n.readACL = make(map[xtypes.DomID]bool)

@@ -2,6 +2,7 @@ package xenstore
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"xoar/internal/sim"
@@ -323,6 +324,44 @@ func TestQuotas(t *testing.T) {
 	}
 	if _, err := g.TxStart(); !errors.Is(err, xtypes.ErrQuota) {
 		t.Fatalf("tx quota: %v", err)
+	}
+}
+
+// Quota bookkeeping dies with the nodes it counts: churning many domains
+// through create, chown and remove leaves the owned-node map at its
+// starting size, and quota enforcement still holds for each domain.
+func TestOwnedCountsDieWithTheirNodes(t *testing.T) {
+	_, l := newLogic()
+	l.SetQuota(Quota{MaxNodes: 3, MaxWatches: 1, MaxTransactions: 1})
+	priv := l.Connect(0, true)
+	if err := priv.Mkdir(TxNone, "/local/domain"); err != nil {
+		t.Fatal(err)
+	}
+	start := len(l.owned)
+	for i := 1; i <= 200; i++ {
+		dom := xtypes.DomID(i)
+		home := fmt.Sprintf("/local/domain/%d", i)
+		if err := priv.Mkdir(TxNone, home); err != nil {
+			t.Fatal(err)
+		}
+		if err := priv.SetPerms(home, Perms{Owner: dom}); err != nil {
+			t.Fatal(err)
+		}
+		g := l.Connect(dom, false)
+		// The chowned home counts against the quota: two more nodes fit,
+		// a third does not.
+		if err := g.Write(TxNone, home+"/a/b", "x"); err != nil {
+			t.Fatalf("dom%d within quota: %v", i, err)
+		}
+		if err := g.Write(TxNone, home+"/c", "x"); !errors.Is(err, xtypes.ErrQuota) {
+			t.Fatalf("dom%d over quota: %v", i, err)
+		}
+		if err := priv.Rm(TxNone, home); err != nil {
+			t.Fatal(err)
+		}
+		if got := len(l.owned); got != start {
+			t.Fatalf("after dom%d: %d owned entries, want %d", i, got, start)
+		}
 	}
 }
 
