@@ -6,7 +6,9 @@
 //	xoarlint [-list] [-json | -sarif | -github] [-matrix | -capmanifest | -surface | -hotpath] [./... | dir ...]
 //
 // With no arguments (or "./..."), the whole module containing the current
-// directory is analyzed. Diagnostics print as text by default; -json emits
+// directory is analyzed; directory arguments narrow the diagnostics and
+// artifacts to the packages in those directories, still type-checked
+// against the whole module. Diagnostics print as text by default; -json emits
 // a JSON document, -sarif a SARIF 2.1.0 log, and -github GitHub Actions
 // ::error workflow commands for inline PR annotations.
 //
@@ -25,6 +27,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"path/filepath"
 
 	"xoar/internal/xoarlint"
 )
@@ -59,26 +62,17 @@ func main() {
 		os.Exit(2)
 	}
 
-	var pkgs []*xoarlint.Package
-	args := flag.Args()
-	if len(args) == 0 {
-		args = []string{"./..."}
+	pkgs, err := xoarlint.LoadModule(".")
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "xoarlint: %v\n", err)
+		os.Exit(2)
 	}
-	for _, arg := range args {
-		var (
-			loaded []*xoarlint.Package
-			err    error
-		)
-		if arg == "./..." || arg == "..." {
-			loaded, err = xoarlint.LoadModule(".")
-		} else {
-			loaded, err = xoarlint.LoadModuleDir(arg)
-		}
+	if args := flag.Args(); len(args) > 0 && args[0] != "./..." && args[0] != "..." {
+		pkgs, err = unitsIn(pkgs, args)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "xoarlint: %v\n", err)
 			os.Exit(2)
 		}
-		pkgs = append(pkgs, loaded...)
 	}
 
 	if *matrix {
@@ -143,6 +137,27 @@ func main() {
 		fmt.Fprintf(os.Stderr, "xoarlint: %d violation(s)\n", len(diags))
 		os.Exit(1)
 	}
+}
+
+// unitsIn keeps the units whose directory is one of dirs.
+func unitsIn(pkgs []*xoarlint.Package, dirs []string) ([]*xoarlint.Package, error) {
+	var out []*xoarlint.Package
+	for _, d := range dirs {
+		abs, err := filepath.Abs(d)
+		if err != nil {
+			return nil, err
+		}
+		n := len(out)
+		for _, p := range pkgs {
+			if p.Dir == abs {
+				out = append(out, p)
+			}
+		}
+		if len(out) == n {
+			return nil, fmt.Errorf("no Go package of the module in %s", d)
+		}
+	}
+	return out, nil
 }
 
 func countTrue(bs ...bool) int {

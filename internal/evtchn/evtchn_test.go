@@ -474,3 +474,50 @@ func TestWaitTimeoutSpuriousWakeupSecondWaiter(t *testing.T) {
 		}
 	}
 }
+
+// TestDeliveryRootsAllocationFree binds Notify and RaiseVIRQ to their
+// HOTPATH.json budget of 0 allocs/op: each delivery marks the port pending,
+// posts the upcall bound at SetHandler time, and the dispatcher runs it.
+func TestDeliveryRootsAllocationFree(t *testing.T) {
+	env, tbl := newTable()
+	p1, p2 := pair(t, tbl)
+	vp, err := tbl.BindVIRQ(1, xtypes.VIRQTimer)
+	if err != nil {
+		t.Fatal(err)
+	}
+	upcalls := 0
+	for _, h := range []struct {
+		dom  xtypes.DomID
+		port xtypes.Port
+	}{{2, p2}, {1, vp}} {
+		if err := tbl.SetHandler(h.dom, h.port, func() { upcalls++ }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, root := range []struct {
+		name string
+		op   func()
+	}{
+		{"Table.Notify", func() {
+			if err := tbl.Notify(1, p1); err != nil {
+				t.Fatal(err)
+			}
+			env.RunAll()
+		}},
+		{"Table.RaiseVIRQ", func() {
+			tbl.RaiseVIRQ(1, xtypes.VIRQTimer)
+			env.RunAll()
+		}},
+	} {
+		before := upcalls
+		for i := 0; i < 10; i++ {
+			root.op()
+		}
+		if upcalls == before {
+			t.Fatalf("%s: handler never ran", root.name)
+		}
+		if n := testing.AllocsPerRun(100, root.op); n != 0 {
+			t.Errorf("%s: %v allocs/op, HOTPATH.json budget is 0", root.name, n)
+		}
+	}
+}

@@ -72,9 +72,8 @@ func (s *Snapshot) Pages() int { return s.takenPages }
 
 // Manager owns all machine memory and every domain reservation.
 type Manager struct {
-	totalPages int
-	freePages  int
-	domains    map[xtypes.DomID]*DomainMem
+	freePages int
+	domains   map[xtypes.DomID]*DomainMem
 
 	// mappings tracks every live foreign mapping for audit and teardown.
 	mappings map[mappingKey]int
@@ -92,15 +91,11 @@ type mappingKey struct {
 // NewManager returns a manager with totalMB megabytes of machine memory.
 func NewManager(totalMB int) *Manager {
 	return &Manager{
-		totalPages: totalMB * (1 << 20) / xtypes.PageSize,
-		freePages:  totalMB * (1 << 20) / xtypes.PageSize,
-		domains:    make(map[xtypes.DomID]*DomainMem),
-		mappings:   make(map[mappingKey]int),
+		freePages: totalMB * (1 << 20) / xtypes.PageSize,
+		domains:   make(map[xtypes.DomID]*DomainMem),
+		mappings:  make(map[mappingKey]int),
 	}
 }
-
-// TotalMB reports total machine memory.
-func (m *Manager) TotalMB() int { return m.totalPages * xtypes.PageSize / (1 << 20) }
 
 // FreeMB reports unreserved machine memory.
 func (m *Manager) FreeMB() int { return m.freePages * xtypes.PageSize / (1 << 20) }
@@ -317,9 +312,6 @@ func (dm *DomainMem) RegisterRecoveryBox(r Region) error {
 	dm.recovery = append(dm.recovery, r)
 	return nil
 }
-
-// RecoveryBoxes returns the registered recovery regions.
-func (dm *DomainMem) RecoveryBoxes() []Region { return dm.recovery }
 
 func (dm *DomainMem) inRecoveryBox(pfn xtypes.PFN) bool {
 	for _, r := range dm.recovery {

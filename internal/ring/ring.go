@@ -469,9 +469,3 @@ func (r *Ring[Req, Resp]) PopResponseBatch(p *sim.Proc, buf []Resp) (int, error)
 		r.respSig.Wait(p)
 	}
 }
-
-// PendingRequests reports queued, un-popped requests.
-func (r *Ring[Req, Resp]) PendingRequests() int { return int(r.reqProd - r.reqCons) }
-
-// PendingResponses reports queued, un-popped responses.
-func (r *Ring[Req, Resp]) PendingResponses() int { return int(r.respProd - r.respCons) }

@@ -484,3 +484,76 @@ func TestStatsAccounting(t *testing.T) {
 		t.Fatalf("stats = %+v", st)
 	}
 }
+
+// TestHotRootsAllocationFree binds the ring's hot roots that no benchmark
+// measures to their HOTPATH.json budget of 0 allocs/op. Each case is one
+// full round trip, so the ring returns to the same state; the root under
+// test stands in for its Try* sibling, which BenchmarkMicro_RingBatchPop
+// already holds at zero. The blocking variants find their data ready, so
+// they never park the proc that runs them.
+func TestHotRootsAllocationFree(t *testing.T) {
+	env := sim.NewEnv(1)
+	r := New[req, resp](env, 8)
+	reqs, rbuf := make([]req, 8), make([]req, 8)
+	resps, sbuf := make([]resp, 8), make([]resp, 8)
+	check := func(name string, ok bool) {
+		if !ok {
+			t.Errorf("%s: round trip did not complete", name)
+		}
+	}
+	done := false
+	env.Spawn("hot", func(p *sim.Proc) {
+		for _, root := range []struct {
+			name string
+			op   func()
+		}{
+			{"PushRequestBatch", func() {
+				check("PushRequestBatch", r.PushRequestBatch(p, reqs) == nil && r.TryPopRequestBatch(rbuf) == 8 &&
+					r.PushResponseBatch(resps) == nil && r.TryPopResponseBatch(sbuf) == 8)
+			}},
+			{"PopRequestBatch", func() {
+				r.TryPushRequestBatch(reqs)
+				n, err := r.PopRequestBatch(p, rbuf)
+				check("PopRequestBatch", err == nil && n == 8 && r.PushResponseBatch(resps) == nil && r.TryPopResponseBatch(sbuf) == 8)
+			}},
+			{"PushResponse", func() {
+				r.TryPushRequestBatch(reqs[:1])
+				r.TryPopRequestBatch(rbuf)
+				check("PushResponse", r.PushResponse(resp{}) == nil && r.TryPopResponseBatch(sbuf) == 1)
+			}},
+			{"PopResponse", func() {
+				r.TryPushRequestBatch(reqs[:1])
+				r.TryPopRequestBatch(rbuf)
+				r.PushResponse(resp{})
+				_, err := r.PopResponse(p)
+				check("PopResponse", err == nil)
+			}},
+			{"TryPopResponse", func() {
+				r.TryPushRequestBatch(reqs[:1])
+				r.TryPopRequestBatch(rbuf)
+				r.PushResponse(resp{})
+				_, ok := r.TryPopResponse()
+				check("TryPopResponse", ok)
+			}},
+			{"PopResponseBatch", func() {
+				r.TryPushRequestBatch(reqs)
+				r.TryPopRequestBatch(rbuf)
+				r.PushResponseBatch(resps)
+				n, err := r.PopResponseBatch(p, sbuf)
+				check("PopResponseBatch", err == nil && n == 8)
+			}},
+		} {
+			for i := 0; i < 10; i++ {
+				root.op()
+			}
+			if n := testing.AllocsPerRun(100, root.op); n != 0 {
+				t.Errorf("Ring.%s: %v allocs/op, HOTPATH.json budget is 0", root.name, n)
+			}
+		}
+		done = true
+	})
+	env.RunAll()
+	if !done {
+		t.Fatal("a round trip blocked the proc running it")
+	}
+}

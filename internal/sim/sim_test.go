@@ -410,3 +410,25 @@ func TestTraceHook(t *testing.T) {
 		t.Fatal("empty trace rendering")
 	}
 }
+
+// TestPostAllocationFree binds the Post hot root to its HOTPATH.json budget
+// of 0 allocs/op: posting a callback and dispatching it reuses a recycled
+// event once the free list is warm.
+func TestPostAllocationFree(t *testing.T) {
+	env := NewEnv(1)
+	fired := 0
+	fn := func() { fired++ }
+	op := func() {
+		env.Post(fn)
+		env.RunAll()
+	}
+	for i := 0; i < 10; i++ {
+		op()
+	}
+	if n := testing.AllocsPerRun(100, op); n != 0 {
+		t.Errorf("Env.Post: %v allocs/op, HOTPATH.json budget is 0", n)
+	}
+	if fired == 0 {
+		t.Fatal("posted callback never ran")
+	}
+}

@@ -202,3 +202,33 @@ func TestConcurrentExactness(t *testing.T) {
 		t.Fatalf("histogram sum = %g, want %d", h.Sum(), workers*per*2)
 	}
 }
+
+// TestObserveRootsAllocationFree binds the observe-path hot roots to their
+// HOTPATH.json budget of 0 allocs/op, with telemetry off (a nil registry
+// hands out nil handles) and on.
+func TestObserveRootsAllocationFree(t *testing.T) {
+	for _, reg := range []struct {
+		name string
+		r    *Registry
+	}{{"nil registry", nil}, {"live registry", New()}} {
+		c := reg.r.Counter("test_ops_total")
+		g := reg.r.Gauge("test_depth_count")
+		h := reg.r.Histogram("test_latency_ms", LatencyMSBuckets)
+		for _, root := range []struct {
+			name string
+			op   func()
+		}{
+			{"Counter.Inc", func() { c.Inc() }},
+			{"Counter.Add", func() { c.Add(3) }},
+			{"Gauge.Set", func() { g.Set(1.5) }},
+			{"Histogram.Observe", func() { h.Observe(2.5) }},
+		} {
+			for i := 0; i < 10; i++ {
+				root.op()
+			}
+			if n := testing.AllocsPerRun(100, root.op); n != 0 {
+				t.Errorf("%s, %s: %v allocs/op, HOTPATH.json budget is 0", reg.name, root.name, n)
+			}
+		}
+	}
+}

@@ -3,6 +3,7 @@ package xoarlint
 import (
 	"fmt"
 	"go/ast"
+	"go/types"
 	"sort"
 	"strings"
 )
@@ -100,39 +101,21 @@ func runAuditlog(p *Package) []Diagnostic {
 // through one of them is what counts as emitting.
 func sinkFields(p *Package) map[string]bool {
 	out := map[string]bool{}
-	for _, f := range p.Files {
-		if p.Test[f] {
-			continue
+	tn, _ := p.Types.Scope().Lookup("Hypervisor").(*types.TypeName)
+	if tn == nil {
+		return out
+	}
+	st, ok := tn.Type().Underlying().(*types.Struct)
+	if !ok {
+		return out
+	}
+	for i := 0; i < st.NumFields(); i++ {
+		sig, ok := st.Field(i).Type().(*types.Signature)
+		for j := 0; ok && j < sig.Params().Len(); j++ {
+			if isNamed(sig.Params().At(j).Type(), p.Types.Path(), "Event") {
+				out[st.Field(i).Name()] = true
+			}
 		}
-		ast.Inspect(f, func(n ast.Node) bool {
-			ts, ok := n.(*ast.TypeSpec)
-			if !ok || ts.Name.Name != "Hypervisor" {
-				return true
-			}
-			st, ok := ts.Type.(*ast.StructType)
-			if !ok {
-				return true
-			}
-			for _, field := range st.Fields.List {
-				ft, ok := field.Type.(*ast.FuncType)
-				if !ok || ft.Params == nil {
-					continue
-				}
-				takesEvent := false
-				for _, pf := range ft.Params.List {
-					if id, ok := pf.Type.(*ast.Ident); ok && id.Name == "Event" {
-						takesEvent = true
-					}
-				}
-				if !takesEvent {
-					continue
-				}
-				for _, name := range field.Names {
-					out[name.Name] = true
-				}
-			}
-			return false
-		})
 	}
 	return out
 }

@@ -129,11 +129,22 @@ const hotpathCallSrc = `package dev
 type sink interface{ Put(v any) }
 
 type Dev struct {
+	counter
 	s       sink
 	counts  map[int]int
 	handler func()
 	pump    func()
 }
+
+// counter is embedded in Dev, so its methods are promoted.
+type counter struct {
+	n   int
+	log []int
+}
+
+func (c *counter) bump() { c.n++ }
+
+func (c *counter) record(v int) { c.log = append(c.log, v) }
 
 func (d *Dev) step() { d.counts = nil }
 
@@ -186,6 +197,17 @@ func (d *Dev) Fire() {
 		d.handler()
 	}
 }
+
+// A method promoted through the embedded counter resolves to its declaration
+// and is walked.
+//
+//xoarlint:hot
+func (d *Dev) Bump() { d.bump() }
+
+// The same resolution reaches an allocation inside the promoted method.
+//
+//xoarlint:hot
+func (d *Dev) Record(v int) { d.record(v) }
 `
 
 func TestHotpathBoxingAndBuiltins(t *testing.T) {
@@ -204,6 +226,7 @@ func TestHotpathBoxingAndBuiltins(t *testing.T) {
 		"conversion to string",
 		"go statement",
 		"cannot resolve call through function value xoar/internal/dev.Dev.handler",
+		"append may grow its backing array", // inside the promoted counter.record
 	} {
 		if !strings.Contains(joined, want) {
 			t.Errorf("missing diagnostic %q in:\n%s", want, joined)
@@ -214,6 +237,9 @@ func TestHotpathBoxingAndBuiltins(t *testing.T) {
 	}
 	if strings.Contains(joined, "Dev.pump") {
 		t.Errorf("resolved field call diagnosed as unresolvable:\n%s", joined)
+	}
+	if strings.Contains(joined, "cannot resolve call to d.") {
+		t.Errorf("promoted method call diagnosed as unresolvable:\n%s", joined)
 	}
 }
 
@@ -232,6 +258,15 @@ func TestHotpathWalksResolvedFieldBindings(t *testing.T) {
 	joined := strings.Join(dispatch.Reachable, "\n")
 	if !strings.Contains(joined, "xoar/internal/dev.Dev.step") {
 		t.Errorf("Dispatch did not walk the field-bound method:\n%s", joined)
+	}
+	for _, r := range hp.Roots {
+		want := map[string]string{
+			"xoar/internal/dev.Dev.Bump":   "xoar/internal/dev.counter.bump",
+			"xoar/internal/dev.Dev.Record": "xoar/internal/dev.counter.record",
+		}[r.Root]
+		if want != "" && !strings.Contains(strings.Join(r.Reachable, "\n"), want) {
+			t.Errorf("%s did not walk the promoted method %s: %v", r.Root, want, r.Reachable)
+		}
 	}
 }
 

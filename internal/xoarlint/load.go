@@ -1,69 +1,154 @@
 package xoarlint
 
 import (
+	"bytes"
 	"fmt"
 	"go/ast"
+	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
+	"io"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 )
 
-// LoadModule walks the module rooted at (or above) dir and loads every
-// package under it. Vendored trees, testdata and dot-directories are skipped.
+// The loader type-checks a module for real. Every module package is checked
+// from source exactly once, in dependency order: go/types pulls each import
+// through the loader as the checker reaches it, and every importer receives
+// the same *types.Package, so object identity holds across packages — the
+// *types.Func a call site in netdrv resolves to is the object Info.Defs
+// recorded in ring. The standard library comes from compiler export data:
+// one `go list -export -deps` over every stdlib path the module's files
+// import (test files included) yields the export files, which a single gc
+// importer reads.
+//
+// A package's in-package _test.go files are checked into the same
+// *types.Package once every package proper is complete: importers see the
+// package proper (two packages' in-package tests may import each other's
+// package), and an external _test package, checked right after, sees what
+// an export_test.go file adds.
+
+// LoadModule loads and type-checks every package of the module rooted at (or
+// above) dir. Vendored trees, testdata and dot-directories are skipped. A
+// type error anywhere fails the load: the passes and the artifacts they
+// generate are only sound over a module that compiles.
 func LoadModule(dir string) ([]*Package, error) {
+	l, err := newLoader(dir)
+	if err != nil {
+		return nil, err
+	}
+	for _, path := range l.paths {
+		if _, err := l.lib(path); err != nil {
+			return nil, err
+		}
+	}
+	var pkgs []*Package
+	for _, path := range l.paths {
+		for _, p := range l.units[path] {
+			if p.Types == nil {
+				l.check(p, p.Files) // the external test package
+			} else if tests := filesOf(p, true); len(tests) > 0 {
+				l.check(p, tests)
+			}
+			if len(p.TypeErrors) > 0 {
+				return nil, fmt.Errorf("xoarlint: %d type error(s) in %s, first: %v", len(p.TypeErrors), p.Path, p.TypeErrors[0])
+			}
+			pkgs = append(pkgs, p)
+		}
+	}
+	return pkgs, nil
+}
+
+// LoadDir loads the package units in a single directory under the given
+// import path. The path override lets tests present synthetic sources as any
+// package identity ("xoar/internal/hv") without living in the module tree.
+// Imports of module paths resolve against the module enclosing the working
+// directory, whose packages are checked once per process, on first import,
+// and shared by every LoadDir call. Type errors are kept in
+// Package.TypeErrors, not returned.
+func LoadDir(dir, importPath string) ([]*Package, error) {
+	shared.Lock()
+	defer shared.Unlock()
+	if shared.l == nil {
+		l, err := newLoader(".")
+		if err != nil {
+			return nil, err
+		}
+		shared.l = l
+	}
+	units, err := shared.l.parseDir(dir, importPath)
+	if err != nil {
+		return nil, err
+	}
+	if err := shared.l.listStd(importsOf(units)); err != nil {
+		return nil, err
+	}
+	for _, p := range units {
+		shared.l.check(p, p.Files)
+	}
+	return units, nil
+}
+
+// shared is the loader LoadDir resolves module imports with.
+var shared struct {
+	sync.Mutex
+	l *loader
+}
+
+// loader holds one module's parsed packages and checks them on demand.
+type loader struct {
+	root, modName string
+	fset          *token.FileSet
+	paths         []string              // module import paths in walk order
+	units         map[string][]*Package // by import path, sorted by package name
+	checked       map[string]bool       // package proper checked; false while in progress
+	exports       map[string]string     // stdlib import path -> export data file
+	std           types.Importer
+}
+
+func newLoader(dir string) (*loader, error) {
 	root, modName, err := findModule(dir)
 	if err != nil {
 		return nil, err
 	}
-	var pkgs []*Package
+	l := &loader{
+		root:    root,
+		modName: modName,
+		fset:    token.NewFileSet(),
+		units:   map[string][]*Package{},
+		checked: map[string]bool{},
+		exports: map[string]string{},
+	}
+	l.std = importer.ForCompiler(l.fset, "gc", l.openExport)
+	var imports []string
 	err = filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
-		if err != nil {
+		if err != nil || !d.IsDir() {
 			return err
-		}
-		if !d.IsDir() {
-			return nil
 		}
 		name := d.Name()
 		if path != root && (strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") ||
 			name == "testdata" || name == "vendor" || name == "node_modules") {
 			return filepath.SkipDir
 		}
-		units, err := loadDir(path, importPathFor(root, modName, path))
-		if err != nil {
+		ip := importPathFor(root, modName, path)
+		units, err := l.parseDir(path, ip)
+		if err != nil || len(units) == 0 {
 			return err
 		}
-		pkgs = append(pkgs, units...)
+		l.units[ip] = units
+		l.paths = append(l.paths, ip)
+		imports = append(imports, importsOf(units)...)
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	return pkgs, nil
-}
-
-// LoadModuleDir loads the package units of a single directory, deriving the
-// import path from the enclosing module.
-func LoadModuleDir(dir string) ([]*Package, error) {
-	root, modName, err := findModule(dir)
-	if err != nil {
-		return nil, err
-	}
-	abs, err := filepath.Abs(dir)
-	if err != nil {
-		return nil, err
-	}
-	return loadDir(dir, importPathFor(root, modName, abs))
-}
-
-// LoadDir loads the package units in a single directory under the given
-// import path. The path override lets tests present synthetic sources as any
-// package identity ("xoar/internal/hv") without living in the module tree.
-func LoadDir(dir, importPath string) ([]*Package, error) {
-	return loadDir(dir, importPath)
+	return l, l.listStd(imports)
 }
 
 // findModule locates go.mod upward from dir and returns the module root and
@@ -98,22 +183,16 @@ func importPathFor(root, modName, dir string) string {
 	return modName + "/" + filepath.ToSlash(rel)
 }
 
-// loadDir parses the .go files of one directory into package units: the
-// package proper (with its in-package test files) and, when present, the
-// external _test package.
-func loadDir(dir, importPath string) ([]*Package, error) {
+// parseDir parses the .go files of one directory into unchecked units, one
+// per package name: the package proper with its in-package test files, and
+// the external _test package.
+func (l *loader) parseDir(dir, path string) ([]*Package, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, err
 	}
-	fset := token.NewFileSet()
-	type unit struct {
-		files []*ast.File
-		test  map[*ast.File]bool
-		src   map[string][]byte
-	}
-	units := map[string]*unit{} // by package name
-	var names []string
+	byName := map[string]*Package{}
+	var units []*Package
 	for _, e := range entries {
 		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") {
 			continue
@@ -123,78 +202,148 @@ func loadDir(dir, importPath string) ([]*Package, error) {
 		if err != nil {
 			return nil, err
 		}
-		f, err := parser.ParseFile(fset, fpath, src, parser.ParseComments)
+		f, err := parser.ParseFile(l.fset, fpath, src, parser.ParseComments)
 		if err != nil {
 			return nil, fmt.Errorf("xoarlint: %w", err)
 		}
-		name := f.Name.Name
-		u := units[name]
-		if u == nil {
-			u = &unit{test: map[*ast.File]bool{}, src: map[string][]byte{}}
-			units[name] = u
-			names = append(names, name)
+		p := byName[f.Name.Name]
+		if p == nil {
+			p = &Package{Name: f.Name.Name, Path: path, Dir: dir, Fset: l.fset,
+				Test: map[*ast.File]bool{}, Src: map[string][]byte{}}
+			byName[p.Name] = p
+			units = append(units, p)
 		}
-		u.files = append(u.files, f)
-		u.src[fpath] = src
-		if strings.HasSuffix(e.Name(), "_test.go") {
-			u.test[f] = true
+		p.Files = append(p.Files, f)
+		p.Src[fpath] = src
+		p.Test[f] = strings.HasSuffix(e.Name(), "_test.go")
+	}
+	sort.Slice(units, func(i, j int) bool { return units[i].Name < units[j].Name })
+	return units, nil
+}
+
+func importsOf(units []*Package) []string {
+	var out []string
+	for _, p := range units {
+		for _, f := range p.Files {
+			for _, imp := range f.Imports {
+				out = append(out, strings.Trim(imp.Path.Value, `"`))
+			}
 		}
 	}
-	sort.Strings(names)
-	var pkgs []*Package
-	for _, name := range names {
-		u := units[name]
-		p := typeCheck(fset, dir, importPath, name, u.files, u.test)
-		p.Src = u.src
-		pkgs = append(pkgs, p)
-	}
-	return pkgs, nil
+	return out
 }
 
-// typeCheck runs the go/types checker in best-effort mode: imports resolve to
-// empty stub packages and every error is swallowed. The point is not full
-// type safety (the compiler owns that) but the checker's name resolution —
-// Info.Uses distinguishes an identifier that names an imported package from
-// one shadowed by a local variable, which keeps the analyzers honest about
-// aliased and shadowed imports.
-func typeCheck(fset *token.FileSet, dir, importPath, name string, files []*ast.File, test map[*ast.File]bool) *Package {
-	info := &types.Info{
-		Uses:       map[*ast.Ident]types.Object{},
-		Defs:       map[*ast.Ident]types.Object{},
-		Selections: map[*ast.SelectorExpr]*types.Selection{},
+func filesOf(p *Package, test bool) []*ast.File {
+	var out []*ast.File
+	for _, f := range p.Files {
+		if p.Test[f] == test {
+			out = append(out, f)
+		}
 	}
-	conf := types.Config{
-		Importer:                 &stubImporter{pkgs: map[string]*types.Package{}},
-		Error:                    func(error) {}, // incomplete imports make errors inevitable
-		DisableUnusedImportCheck: true,
-	}
-	// The checked package's path must differ from any stub the importer hands
-	// back, so external test units keep their ".test" suffix internally.
-	checkPath := importPath
-	if strings.HasSuffix(name, "_test") {
-		checkPath += ".test"
-	}
-	_, _ = conf.Check(checkPath, fset, files, info)
-	return &Package{Name: name, Path: importPath, Dir: dir, Fset: fset, Files: files, Test: test, Info: info}
+	return out
 }
 
-// stubImporter satisfies every import with an empty, complete package of the
-// right path and name. Member lookups against it fail (and are ignored), but
-// the qualifier identifier still resolves to a *types.PkgName.
-type stubImporter struct {
-	pkgs map[string]*types.Package
+func (l *loader) inModule(path string) bool {
+	return path == l.modName || strings.HasPrefix(path, l.modName+"/")
 }
 
-func (s *stubImporter) Import(path string) (*types.Package, error) {
-	if p, ok := s.pkgs[path]; ok {
-		return p, nil
+// listStd makes export data available for the stdlib paths among imports,
+// and everything they depend on, with one go list call. Paths already listed
+// are skipped, so after the module load only a LoadDir source importing a
+// package the module never does costs another call.
+func (l *loader) listStd(imports []string) error {
+	seen := map[string]bool{}
+	var args []string
+	for _, path := range imports {
+		if path == "unsafe" || path == "C" || l.inModule(path) || seen[path] || l.exports[path] != "" {
+			continue
+		}
+		seen[path] = true
+		args = append(args, path)
 	}
-	name := path
-	if i := strings.LastIndexByte(path, '/'); i >= 0 {
-		name = path[i+1:]
+	if len(args) == 0 {
+		return nil
 	}
-	p := types.NewPackage(path, name)
-	p.MarkComplete()
-	s.pkgs[path] = p
+	sort.Strings(args)
+	cmd := exec.Command("go", append([]string{"list", "-export", "-deps", "-f", "{{.ImportPath}}\t{{.Export}}", "--"}, args...)...)
+	cmd.Dir = l.root
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	if err != nil {
+		return fmt.Errorf("xoarlint: go list -export: %v\n%s", err, stderr.Bytes())
+	}
+	for _, line := range strings.Split(string(out), "\n") {
+		if path, file, ok := strings.Cut(line, "\t"); ok && file != "" {
+			l.exports[path] = file
+		}
+	}
+	return nil
+}
+
+func (l *loader) openExport(path string) (io.ReadCloser, error) {
+	file, ok := l.exports[path]
+	if !ok {
+		return nil, fmt.Errorf("xoarlint: no export data for %q", path)
+	}
+	return os.Open(file)
+}
+
+// Import satisfies types.Importer: module paths are checked from source,
+// once, and everything else is read from export data.
+func (l *loader) Import(path string) (*types.Package, error) {
+	if !l.inModule(path) {
+		return l.std.Import(path)
+	}
+	p, err := l.lib(path)
+	if err != nil {
+		return nil, err
+	}
+	return p.Types, nil
+}
+
+// lib returns the package proper of a module import path, checked from its
+// non-test files.
+func (l *loader) lib(path string) (*Package, error) {
+	units := l.units[path]
+	if len(units) == 0 || strings.HasSuffix(units[0].Name, "_test") {
+		return nil, fmt.Errorf("xoarlint: package %s not found in module %s", path, l.modName)
+	}
+	p := units[0]
+	switch done, seen := l.checked[path]; {
+	case seen && !done:
+		return nil, fmt.Errorf("xoarlint: import cycle through %s", path)
+	case !seen:
+		l.checked[path] = false
+		l.check(p, filesOf(p, false))
+		l.checked[path] = true
+	}
 	return p, nil
+}
+
+// check type-checks files into p. The first call creates p's package; a
+// later call adds files to it, which is how go/types checks a package
+// incrementally, so a package proper and its in-package tests share objects
+// and one Info.
+func (l *loader) check(p *Package, files []*ast.File) {
+	if p.Types == nil {
+		// An external test package gets its own path, as the go tool gives
+		// it, so it can import the package under test.
+		path := p.Path
+		if strings.HasSuffix(p.Name, "_test") {
+			path += "_test"
+		}
+		p.Types = types.NewPackage(path, p.Name)
+		p.Info = &types.Info{
+			Types:      map[ast.Expr]types.TypeAndValue{},
+			Defs:       map[*ast.Ident]types.Object{},
+			Uses:       map[*ast.Ident]types.Object{},
+			Selections: map[*ast.SelectorExpr]*types.Selection{},
+		}
+	}
+	conf := &types.Config{
+		Importer: l,
+		Error:    func(err error) { p.TypeErrors = append(p.TypeErrors, err) },
+	}
+	_ = types.NewChecker(conf, l.fset, p.Types, p.Info).Files(files)
 }

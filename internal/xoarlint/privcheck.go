@@ -3,6 +3,7 @@ package xoarlint
 import (
 	"fmt"
 	"go/ast"
+	"go/types"
 )
 
 // privcheck enforces the paper's core mechanism (§3, §5.6): every hypercall
@@ -61,14 +62,14 @@ func runPrivcheck(p *Package) []Diagnostic {
 			if !ok || fn.Recv == nil || !fn.Name.IsExported() || fn.Body == nil {
 				continue
 			}
-			recv := receiverName(fn, "Hypervisor")
+			recv := receiverName(p, fn, "Hypervisor")
 			if recv == "" {
 				continue
 			}
 			if _, ok := privcheckAllowed[fn.Name.Name]; ok {
 				continue
 			}
-			domParams := domIDParams(p, f, fn)
+			domParams := domIDFields(p, fn.Type.Params)
 			if len(domParams) == 0 {
 				continue
 			}
@@ -88,44 +89,23 @@ func runPrivcheck(p *Package) []Diagnostic {
 
 // receiverName returns the receiver identifier of a method on *typeName (or
 // typeName), or "" if the receiver is a different type or anonymous.
-func receiverName(fn *ast.FuncDecl, typeName string) string {
-	if len(fn.Recv.List) != 1 {
+func receiverName(p *Package, fn *ast.FuncDecl, typeName string) string {
+	recv := p.Info.Defs[fn.Name].Type().(*types.Signature).Recv()
+	if n := namedOf(recv.Type()); n == nil || n.Obj().Name() != typeName {
 		return ""
 	}
-	field := fn.Recv.List[0]
-	t := field.Type
-	if star, ok := t.(*ast.StarExpr); ok {
-		t = star.X
-	}
-	id, ok := t.(*ast.Ident)
-	if !ok || id.Name != typeName {
-		return ""
-	}
-	if len(field.Names) != 1 {
-		return ""
-	}
-	return field.Names[0].Name
+	return recv.Name()
 }
 
-// domIDParams returns the names of parameters typed xtypes.DomID.
-func domIDParams(p *Package, f *ast.File, fn *ast.FuncDecl) map[string]bool {
-	return domIDFields(p, f, fn.Type.Params)
-}
-
-// domIDFields is domIDParams over a bare parameter list — shared with
-// privflow's function-literal analysis, where there is no FuncDecl.
-func domIDFields(p *Package, f *ast.File, params *ast.FieldList) map[string]bool {
+// domIDFields returns the names of the parameters in params typed
+// xtypes.DomID.
+func domIDFields(p *Package, params *ast.FieldList) map[string]bool {
 	out := map[string]bool{}
 	if params == nil {
 		return out
 	}
 	for _, field := range params.List {
-		sel, ok := field.Type.(*ast.SelectorExpr)
-		if !ok || sel.Sel.Name != "DomID" {
-			continue
-		}
-		x, ok := sel.X.(*ast.Ident)
-		if !ok || p.pkgPathOf(f, x) != "xoar/internal/xtypes" {
+		if !isNamed(p.Info.TypeOf(field.Type), xtypesPath, "DomID") {
 			continue
 		}
 		for _, n := range field.Names {
@@ -133,6 +113,16 @@ func domIDFields(p *Package, f *ast.File, params *ast.FieldList) map[string]bool
 		}
 	}
 	return out
+}
+
+// isNamed reports whether t is the defined type path.name.
+func isNamed(t types.Type, path, name string) bool {
+	n, ok := types.Unalias(t).(*types.Named)
+	if !ok {
+		return false
+	}
+	obj := n.Obj()
+	return obj.Name() == name && obj.Pkg() != nil && obj.Pkg().Path() == path
 }
 
 // auditsCaller reports whether body contains a call recv.check(param, …) or

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"go/ast"
 	"go/token"
+	"go/types"
 	"sort"
 	"strings"
 )
@@ -51,6 +52,12 @@ import (
 //
 // A privileged mutation hidden behind a stored closure is therefore flagged
 // unless the closure re-audits for itself.
+//
+// Types. The walk runs on the checked module's types.Info, not on names: a
+// parameter is a caller identity when the checker types it xtypes.DomID,
+// an audited privilege is the xtypes.Hyper* constant the checker resolves
+// the argument to (a constant, not a variable), and an argument with a
+// constant value is never entry-bound.
 //
 // The same walk powers the PRIVMATRIX.json artifact (see artifact.go): per
 // entry point, the specific xtypes.Hyper* privileges checked, whether
@@ -117,11 +124,10 @@ var domainStateFields = map[string]bool{
 	"ExitReason":    true,
 }
 
-// hvMethod is one method on *hv.Hypervisor, with the file it lives in (for
-// import resolution) and its xtypes.DomID parameters.
+// hvMethod is one method on *hv.Hypervisor with its xtypes.DomID
+// parameters.
 type hvMethod struct {
 	fn   *ast.FuncDecl
-	file *ast.File
 	recv string
 	dom  map[string]bool
 }
@@ -139,11 +145,11 @@ func hypervisorMethods(p *Package) map[string]*hvMethod {
 			if !ok || fn.Recv == nil || fn.Body == nil {
 				continue
 			}
-			recv := receiverName(fn, "Hypervisor")
+			recv := receiverName(p, fn, "Hypervisor")
 			if recv == "" {
 				continue
 			}
-			out[fn.Name.Name] = &hvMethod{fn: fn, file: f, recv: recv, dom: domIDParams(p, f, fn)}
+			out[fn.Name.Name] = &hvMethod{fn: fn, recv: recv, dom: domIDFields(p, fn.Type.Params)}
 		}
 	}
 	return out
@@ -570,7 +576,7 @@ func (c *flow) cond(fr *frame, st *flowState, e ast.Expr) (pos, neg []fact) {
 			_, n2 := c.cond(fr, st, v.Y)
 			return nil, append(n1, n2...)
 		case token.EQL, token.NEQ:
-			if isNilExpr(v.Y) {
+			if isNilIdent(v.Y) {
 				if res := c.valueRes(fr, st, v.X); res != nil && !res.boolPol {
 					if v.Op == token.EQL {
 						return res.facts, nil // err == nil: audit passed
@@ -612,11 +618,6 @@ func (c *flow) valueRes(fr *frame, st *flowState, e ast.Expr) *evalRes {
 		return c.expr(fr, st, v)
 	}
 	return nil
-}
-
-func isNilExpr(e ast.Expr) bool {
-	id, ok := e.(*ast.Ident)
-	return ok && id.Name == "nil"
 }
 
 // --- expression walk ---------------------------------------------------------
@@ -844,7 +845,7 @@ func (c *flow) auditControls(fr *frame, v *ast.CallExpr) *evalRes {
 // xtypes.Hyper* constant — directly, or through a helper parameter the
 // current call chain bound a constant to.
 func (c *flow) hyperConstOrBound(fr *frame, e ast.Expr) string {
-	if pc := c.hyperConst(fr, e); pc != "" {
+	if pc := c.hyperConst(e); pc != "" {
 		return pc
 	}
 	if id, ok := e.(*ast.Ident); ok {
@@ -853,28 +854,26 @@ func (c *flow) hyperConstOrBound(fr *frame, e ast.Expr) string {
 	return ""
 }
 
-// hyperConst resolves an expression to the name of an xtypes.Hyper*
-// constant, or "".
-func (c *flow) hyperConst(fr *frame, e ast.Expr) string {
-	sel, ok := e.(*ast.SelectorExpr)
-	if !ok {
+// hyperConst resolves an expression to the name of the xtypes.Hyper*
+// constant it denotes, or "".
+func (c *flow) hyperConst(e ast.Expr) string {
+	obj, _ := objectOf(c.p.Info, e)
+	k, ok := obj.(*types.Const)
+	if !ok || !isNamed(k.Type(), xtypesPath, "Hypercall") || !strings.HasPrefix(k.Name(), "Hyper") {
 		return ""
 	}
-	x, ok := sel.X.(*ast.Ident)
-	if !ok || c.p.pkgPathOf(fr.m.file, x) != "xoar/internal/xtypes" {
-		return ""
-	}
-	if !strings.HasPrefix(sel.Sel.Name, "Hyper") {
-		return ""
-	}
-	return sel.Sel.Name
+	return k.Name()
 }
 
+// domArg names the caller-identity argument of an audit and reports whether
+// it carries an entry point's DomID parameter. A constant (xtypes.Dom0, a
+// literal) never does.
 func (c *flow) domArg(fr *frame, e ast.Expr) (string, bool) {
-	if id, ok := e.(*ast.Ident); ok {
-		return id.Name, fr.binding[id.Name]
+	id, ok := e.(*ast.Ident)
+	if !ok || c.p.Info.Types[e].Value != nil {
+		return "", false
 	}
-	return "", false
+	return id.Name, fr.binding[id.Name]
 }
 
 // inline analyzes a helper method at this call site: its mutations are
@@ -927,7 +926,7 @@ func (c *flow) inline(fr *frame, st *flowState, m *hvMethod, args []ast.Expr) *e
 	if len(fs) == 0 {
 		return nil
 	}
-	boolPol, ok := resultPolarity(m.fn)
+	boolPol, ok := resultPolarity(c.p.Info.Defs[m.fn.Name].Type().(*types.Signature))
 	if !ok {
 		return nil // no error/bool result: the caller cannot enforce it
 	}
@@ -955,7 +954,7 @@ func (c *flow) inlineLit(fr *frame, st *flowState, lit *ast.FuncLit, args []ast.
 	sub := c.litFrame(fr, lit)
 	i := 0
 	if lit.Type.Params != nil {
-		dom := domIDFields(c.p, fr.m.file, lit.Type.Params)
+		dom := domIDFields(c.p, lit.Type.Params)
 		for _, field := range lit.Type.Params.List {
 			for _, pname := range field.Names {
 				if i < len(args) {
@@ -997,7 +996,7 @@ func (c *flow) escapedLit(fr *frame, lit *ast.FuncLit) {
 	defer func() { c.stack = c.stack[:len(c.stack)-1] }()
 
 	sub := c.litFrame(fr, lit)
-	for pn := range domIDFields(c.p, fr.m.file, lit.Type.Params) {
+	for pn := range domIDFields(c.p, lit.Type.Params) {
 		sub.binding[pn] = true
 	}
 	c.stmts(sub, newFlowState(), lit.Body.List)
@@ -1051,21 +1050,14 @@ func (c *flow) litMarker(lit *ast.FuncLit) string {
 
 // resultPolarity classifies a helper's enforceable result: error-last or
 // single bool.
-func resultPolarity(fn *ast.FuncDecl) (boolPol, ok bool) {
-	rs := fn.Type.Results
-	if rs == nil || len(rs.List) == 0 {
-		return false, false
-	}
-	last := rs.List[len(rs.List)-1].Type
-	id, isIdent := last.(*ast.Ident)
-	if !isIdent {
-		return false, false
-	}
-	switch id.Name {
-	case "error":
-		return false, true
-	case "bool":
-		return true, true
+func resultPolarity(sig *types.Signature) (boolPol, ok bool) {
+	if n := sig.Results().Len(); n > 0 {
+		switch last := sig.Results().At(n - 1).Type(); {
+		case last == types.Typ[types.Bool]:
+			return true, true
+		case last == types.Universe.Lookup("error").Type():
+			return false, true
+		}
 	}
 	return false, false
 }

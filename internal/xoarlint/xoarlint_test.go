@@ -1,6 +1,7 @@
 package xoarlint
 
 import (
+	"go/types"
 	"os"
 	"path/filepath"
 	"strings"
@@ -333,13 +334,51 @@ func TestLoadModuleFindsThisPackage(t *testing.T) {
 		t.Fatal(err)
 	}
 	found := false
+	units := map[string]*Package{}
 	for _, p := range pkgs {
 		if p.Path == "xoar/internal/xoarlint" && p.Name == "xoarlint" {
 			found = true
 		}
+		// The module type-checks cleanly against real imports; stub imports
+		// would leave every cross-package reference an error.
+		for _, err := range p.TypeErrors {
+			t.Errorf("%s: type error: %v", p.Path, err)
+		}
+		if !strings.HasSuffix(p.Name, "_test") {
+			units[p.Path] = p
+		}
 	}
 	if !found {
 		t.Fatal("LoadModule did not surface xoar/internal/xoarlint")
+	}
+
+	// A *hv.Hypervisor method call in internal/core resolves through
+	// Info.Selections to the very object internal/hv declares.
+	hv, core := units["xoar/internal/hv"], units["xoar/internal/core"]
+	if hv == nil || core == nil {
+		t.Fatal("internal/hv or internal/core not loaded")
+	}
+	var delegate *types.Func
+	for id, obj := range hv.Info.Defs {
+		if fn, ok := obj.(*types.Func); ok && id.Name == "Delegate" && fn.Type().(*types.Signature).Recv() != nil {
+			delegate = fn
+		}
+	}
+	if delegate == nil {
+		t.Fatal("hv.Hypervisor.Delegate not declared")
+	}
+	calls := 0
+	for sel, selection := range core.Info.Selections {
+		if sel.Sel.Name != "Delegate" {
+			continue
+		}
+		if selection == nil || selection.Obj() != delegate {
+			t.Errorf("%v: core's Delegate selection %v is not hv's declared method", core.Fset.Position(sel.Pos()), selection)
+		}
+		calls++
+	}
+	if calls == 0 {
+		t.Error("no cross-package selection of (*hv.Hypervisor).Delegate recorded in internal/core")
 	}
 }
 

@@ -9,17 +9,30 @@ import (
 	"bytes"
 	"os"
 	"strings"
+	"sync"
 	"testing"
 
 	"xoar/internal/capability"
 	"xoar/internal/xoarlint"
 )
 
-func TestXoarlintModuleClean(t *testing.T) {
-	pkgs, err := xoarlint.LoadModule(".")
+// modulePkgs type-checks the module once per test binary; every test below
+// analyzes the same load.
+var modulePkgs = sync.OnceValues(func() ([]*xoarlint.Package, error) {
+	return xoarlint.LoadModule(".")
+})
+
+func loadModule(t *testing.T) []*xoarlint.Package {
+	t.Helper()
+	pkgs, err := modulePkgs()
 	if err != nil {
 		t.Fatalf("loading module: %v", err)
 	}
+	return pkgs
+}
+
+func TestXoarlintModuleClean(t *testing.T) {
+	pkgs := loadModule(t)
 	if len(pkgs) == 0 {
 		t.Fatal("no packages loaded")
 	}
@@ -38,10 +51,7 @@ func TestPrivMatrixDrift(t *testing.T) {
 	if err != nil {
 		t.Fatalf("reading checked-in matrix: %v (regenerate with: make matrix)", err)
 	}
-	pkgs, err := xoarlint.LoadModule(".")
-	if err != nil {
-		t.Fatalf("loading module: %v", err)
-	}
+	pkgs := loadModule(t)
 	built, err := xoarlint.BuildPrivMatrix(pkgs)
 	if err != nil {
 		t.Fatalf("building matrix: %v", err)
@@ -75,10 +85,7 @@ func TestCapManifestDrift(t *testing.T) {
 	if err != nil {
 		t.Fatalf("reading checked-in manifest: %v (regenerate with: make capmanifest)", err)
 	}
-	pkgs, err := xoarlint.LoadModule(".")
-	if err != nil {
-		t.Fatalf("loading module: %v", err)
-	}
+	pkgs := loadModule(t)
 	built, err := xoarlint.BuildCapManifest(pkgs)
 	if err != nil {
 		t.Fatalf("building manifest: %v", err)
@@ -114,10 +121,7 @@ func TestHotPathDrift(t *testing.T) {
 	if err != nil {
 		t.Fatalf("reading checked-in hot-path artifact: %v (regenerate with: make hotpath)", err)
 	}
-	pkgs, err := xoarlint.LoadModule(".")
-	if err != nil {
-		t.Fatalf("loading module: %v", err)
-	}
+	pkgs := loadModule(t)
 	built := xoarlint.BuildHotPath(pkgs)
 	if len(built.Roots) == 0 {
 		t.Fatal("no //xoarlint:hot roots found — the data-path annotations were severed")
@@ -138,15 +142,12 @@ func TestHotPathDrift(t *testing.T) {
 		strings.Join(diff, "\n  "))
 }
 
-// TestArtifactDeterminism generates the golden artifacts twice from
-// independent module loads and requires byte identity, so the drift gates
-// above can never flake on map iteration order.
+// TestArtifactDeterminism generates the golden artifacts twice from the
+// module load and requires byte identity, so the drift gates above can
+// never flake on map iteration order in the passes.
 func TestArtifactDeterminism(t *testing.T) {
 	gen := func() ([]byte, []byte, []byte) {
-		pkgs, err := xoarlint.LoadModule(".")
-		if err != nil {
-			t.Fatalf("loading module: %v", err)
-		}
+		pkgs := loadModule(t)
 		m, err := xoarlint.BuildPrivMatrix(pkgs)
 		if err != nil {
 			t.Fatal(err)
