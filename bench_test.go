@@ -19,7 +19,6 @@ import (
 	"xoar/internal/experiments"
 	"xoar/internal/hv"
 	"xoar/internal/hw"
-	"xoar/internal/osimage"
 	"xoar/internal/ring"
 	"xoar/internal/sim"
 	"xoar/internal/snapshot"
@@ -255,14 +254,13 @@ func BenchmarkAblation_FastVsSlowRestart(b *testing.B) {
 		if _, err := rig.NewGuest("g"); err != nil {
 			b.Fatal(err)
 		}
-		eng := snapshot.NewEngine(rig.HV, rig.PL.BuilderDom)
-		if err := eng.Manage(rig.PL.NetBacks[0].AsRestartable(), snapshot.Policy{
+		if err := rig.PL.Engine.Manage(rig.PL.NetBacks[0].AsRestartable(), snapshot.Policy{
 			Kind: snapshot.PolicyTimer, Interval: sim.Second, Fast: fast,
 		}); err != nil {
 			b.Fatal(err)
 		}
 		rig.Env.RunFor(10 * sim.Second)
-		st, _ := eng.Stats(rig.PL.NetBacks[0].Dom)
+		st, _ := rig.PL.Engine.Stats(rig.PL.NetBacks[0].Dom)
 		if st.Restarts == 0 {
 			b.Fatal("no restarts")
 		}
@@ -278,29 +276,15 @@ func BenchmarkAblation_FastVsSlowRestart(b *testing.B) {
 // with PCIBack resident versus destroyed after boot (§5.3).
 func BenchmarkAblation_PCIBackDestroy(b *testing.B) {
 	count := func(destroy bool) float64 {
-		env := sim.NewEnv(1)
-		h := hv.New(env, hw.NewMachine(env))
-		var n float64
-		done := false
-		env.Spawn("boot", func(p *sim.Proc) {
-			pl, err := boot.BootXoar(p, h, osimage.DefaultCatalog(), boot.Options{DestroyPCIBack: destroy})
-			if err != nil {
-				b.Error(err)
-				return
-			}
-			// Count resident control-plane components: with PCIBack
-			// destroyed the steady-state platform runs one fewer domain
-			// (and no config-space owner at all).
-			n = float64(len(h.Domains()))
-			_ = pl
-			done = true
-		})
-		env.RunFor(200 * sim.Second)
-		env.Shutdown()
-		if !done {
-			b.Fatal("boot incomplete")
+		pl, err := boot.New(sim.NewEnv(1), boot.Options{DestroyPCIBack: destroy})
+		if err != nil {
+			b.Fatal(err)
 		}
-		return n
+		defer pl.HV.Env.Shutdown()
+		// Count resident control-plane components: with PCIBack destroyed
+		// the steady-state platform runs one fewer domain (and no
+		// config-space owner at all).
+		return float64(len(pl.HV.Domains()))
 	}
 	for i := 0; i < b.N; i++ {
 		b.ReportMetric(count(false), "components-resident")
@@ -312,20 +296,12 @@ func BenchmarkAblation_PCIBackDestroy(b *testing.B) {
 // Table 6.2.
 func BenchmarkAblation_SerializedBoot(b *testing.B) {
 	bootTime := func(serialize bool) float64 {
-		env := sim.NewEnv(1)
-		h := hv.New(env, hw.NewMachine(env))
-		var secs float64
-		env.Spawn("boot", func(p *sim.Proc) {
-			pl, err := boot.BootXoar(p, h, osimage.DefaultCatalog(), boot.Options{Serialize: serialize})
-			if err != nil {
-				b.Error(err)
-				return
-			}
-			secs = pl.Timings.Done.Seconds()
-		})
-		env.RunFor(300 * sim.Second)
-		env.Shutdown()
-		return secs
+		pl, err := boot.New(sim.NewEnv(1), boot.Options{Serialize: serialize})
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer pl.HV.Env.Shutdown()
+		return pl.Timings.Done.Seconds()
 	}
 	for i := 0; i < b.N; i++ {
 		b.ReportMetric(bootTime(false), "s-parallel")

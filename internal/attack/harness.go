@@ -8,7 +8,6 @@ import (
 	"xoar/internal/boot"
 	"xoar/internal/capability"
 	"xoar/internal/hv"
-	"xoar/internal/hw"
 	"xoar/internal/osimage"
 	"xoar/internal/sim"
 	"xoar/internal/snapshot"
@@ -56,41 +55,35 @@ type Result struct {
 
 // Harness is a freshly booted Xoar platform wired for attack replay: full
 // shard fleet, two victim guests and the adversarial guest "mallory", an
-// audit log on the hypervisor sink, and a restart engine managing the first
-// netback so sequences can race calls against a live microreboot.
+// audit log on the hypervisor sink, and the platform's restart engine
+// managing both driver shards so sequences can race calls against a live
+// microreboot.
 type Harness struct {
-	Env    *sim.Env
-	PL     *boot.Platform
-	H      *hv.Hypervisor
-	Log    *audit.Log
-	Engine *snapshot.Engine
+	Env *sim.Env
+	PL  *boot.Platform
+	H   *hv.Hypervisor
+	Log *audit.Log
 
 	VictimA, VictimB, Mallory xtypes.DomID
 	Guests                    []*toolstack.Guest
 
-	destroyed []xtypes.DomID
-	probe     *xenstore.Conn
-	bogusID   xtypes.DomID
+	probe   *xenstore.Conn
+	bogusID xtypes.DomID
 }
 
 // NewHarness boots the platform. Each sequence should run on its own harness
 // — sequences mutate privilege state by design.
 func NewHarness() (*Harness, error) {
 	env := sim.NewEnv(1)
-	h := hv.New(env, hw.NewMachine(env))
 	log := audit.NewLog()
-	h.Sink = func(e hv.Event) { log.Append(e.Time, e.Kind, e.Dom, e.Arg) }
-	ha := &Harness{Env: env, H: h, Log: log}
-	h.OnDestroy(func(id xtypes.DomID) { ha.destroyed = append(ha.destroyed, id) })
-
-	var err error
+	pl, err := boot.New(env, boot.Options{Audit: log})
+	if err != nil {
+		return nil, fmt.Errorf("attack: boot: %w", err)
+	}
+	ha := &Harness{Env: env, PL: pl, H: pl.HV, Log: log}
 	env.Spawn("attack-setup", func(p *sim.Proc) {
-		ha.PL, err = boot.BootXoar(p, h, osimage.DefaultCatalog(), boot.Options{})
-		if err != nil {
-			return
-		}
 		for _, name := range []string{"victimA", "victimB", "mallory"} {
-			g, cerr := ha.PL.Toolstacks[0].CreateVM(p, toolstack.GuestConfig{
+			g, cerr := pl.Toolstacks[0].CreateVM(p, toolstack.GuestConfig{
 				Name: name, Image: osimage.ImgGuestPV, MemMB: 256,
 				Net: true, Disk: true,
 			})
@@ -101,7 +94,7 @@ func NewHarness() (*Harness, error) {
 			ha.Guests = append(ha.Guests, g)
 		}
 	})
-	env.RunFor(300 * sim.Second)
+	env.Run(sim.Time(300 * sim.Second))
 	if err != nil {
 		env.Shutdown()
 		return nil, fmt.Errorf("attack: boot: %w", err)
@@ -109,22 +102,15 @@ func NewHarness() (*Harness, error) {
 	ha.VictimA = ha.Guests[0].Dom
 	ha.VictimB = ha.Guests[1].Dom
 	ha.Mallory = ha.Guests[2].Dom
-	ha.Engine = snapshot.NewEngine(h, ha.PL.BuilderDom)
-	if err := ha.Engine.Manage(ha.PL.NetBacks[0].AsRestartable(), snapshot.Policy{
-		Kind: snapshot.PolicyPerRequest,
-	}); err != nil {
-		env.Shutdown()
-		return nil, err
-	}
-	if err := ha.Engine.Manage(ha.PL.BlkBacks[0].AsRestartable(), snapshot.Policy{
-		Kind: snapshot.PolicyPerRequest,
-	}); err != nil {
-		env.Shutdown()
-		return nil, err
+	for _, c := range []snapshot.Restartable{pl.NetBacks[0].AsRestartable(), pl.BlkBacks[0].AsRestartable()} {
+		if err := pl.Engine.Manage(c, snapshot.Policy{Kind: snapshot.PolicyPerRequest}); err != nil {
+			env.Shutdown()
+			return nil, err
+		}
 	}
 	// The probe connection audits XenStore state after the run; it uses the
 	// hypervisor's own identity so no component connection is disturbed.
-	ha.probe = ha.PL.XenStoreLogic.Connect(hv.SystemCaller, true)
+	ha.probe = pl.XenStoreLogic.Connect(hv.SystemCaller, true)
 	// A DomID the platform has never allocated: "foreign DomID" probes.
 	ha.bogusID = xtypes.DomID(4096)
 	return ha, nil
@@ -433,8 +419,11 @@ func (ha *Harness) Run(seq Sequence) Result {
 			Detail: fmt.Sprintf("audit hash chain breaks at record %d", i),
 		})
 	}
-	for _, id := range ha.destroyed {
-		path := fmt.Sprintf("/local/domain/%d", id)
+	for _, r := range ha.Log.Records() {
+		if r.Kind != "destroy" {
+			continue
+		}
+		path := fmt.Sprintf("/local/domain/%d", r.Dom)
 		if _, err := ha.probe.Directory(xenstore.TxNone, path); err == nil {
 			res.Findings = append(res.Findings, Finding{
 				Index: -1, Kind: KindOrphanedTree,
@@ -561,7 +550,7 @@ func (ha *Harness) exec(p *sim.Proc, m *model, idx int, c Call, res *Result) {
 	case OpMicroreboot:
 		hvCall = false
 		nb := ha.PL.NetBacks[0].Dom
-		eng := ha.Engine
+		eng := ha.PL.Engine
 		ha.Env.Spawn("attack-mr", func(p2 *sim.Proc) { eng.RequestRestart(p2, nb) })
 		p.Sleep(sim.Millisecond) // let the restart begin; later calls race it
 	}

@@ -200,7 +200,7 @@ func runScenario(sc Scenario) (ScenarioResult, error) {
 	// model; for them the window simply closes at the end of the attack.
 	shard := ha.shardDom(sc.Shard)
 	if sc.Shard == TNetBack || sc.Shard == TBlkBack {
-		eng := ha.Engine
+		eng := ha.PL.Engine
 		ha.Env.Spawn("taxonomy-mr", func(p *sim.Proc) { eng.RequestRestart(p, shard) })
 		ha.Env.RunFor(10 * sim.Second)
 	}

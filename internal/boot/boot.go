@@ -1,6 +1,8 @@
-// Package boot assembles and boots the platform in its two profiles:
+// Package boot assembles and boots the platform in its two profiles. New is
+// the only way in: it builds the machine and hypervisor, boots the chosen
+// profile, and runs the clock until the host is up.
 //
-//   - BootXoar: the §5.2 sequence. Xen creates the Bootstrapper, which
+//   - Xoar: the §5.2 sequence. Xen creates the Bootstrapper, which
 //     starts XenStore (State then Logic), the Console Manager, the Builder,
 //     and PCIBack; PCIBack enumerates the bus and udev-style rules request
 //     NetBack/BlkBack driver domains from the Builder for each controller;
@@ -8,14 +10,15 @@
 //     Components boot in parallel where the dependency order allows, which
 //     is where the Table 6.2 speedup comes from.
 //
-//   - BootDom0: the stock sequence. Xen creates a single monolithic control
-//     VM that initializes hardware, starts every service in order, and
-//     holds full privilege over the system.
+//   - Dom0 (Options.Monolithic): the stock sequence. Xen creates a single
+//     monolithic control VM that initializes hardware, starts every
+//     service in order, and holds full privilege over the system.
 package boot
 
 import (
 	"fmt"
 
+	"xoar/internal/audit"
 	"xoar/internal/blkdrv"
 	"xoar/internal/builder"
 	"xoar/internal/capability"
@@ -71,6 +74,14 @@ type Options struct {
 	// default, for high-density hosts (serverless churn packs hundreds of
 	// short-lived guests behind one toolstack). Zero keeps the default.
 	GuestQuota int
+	// Machine is the modeled host; the zero value is the paper's testbed
+	// (hw.DefaultMachineConfig). Hosts with several controllers get one
+	// driver shard each.
+	Machine hw.MachineConfig
+	// Audit, when non-nil, records every hypervisor event from power-on.
+	Audit *audit.Log
+	// Monolithic boots the stock Dom0 profile instead of Xoar.
+	Monolithic bool
 }
 
 // Platform is the assembled system, either profile.
@@ -101,6 +112,47 @@ type Platform struct {
 	Monolithic bool
 
 	Timings Timings
+}
+
+// maxBootSteps bounds New's wait for the boot process, in simulated seconds.
+const maxBootSteps = 300
+
+// New assembles a host on env and boots it: the machine opts.Machine
+// describes, a fresh hypervisor with opts.Audit on its event sink, and the
+// profile opts.Monolithic selects. It runs env in one-second steps and
+// returns at the first whole second at or after Timings.Done. A failed boot
+// shuts env down, so no process outlives the error.
+func New(env *sim.Env, opts Options) (*Platform, error) {
+	mcfg := opts.Machine
+	if mcfg == (hw.MachineConfig{}) {
+		mcfg = hw.DefaultMachineConfig()
+	}
+	h := hv.New(env, hw.NewMachineWith(env, mcfg))
+	if log := opts.Audit; log != nil {
+		h.Sink = func(e hv.Event) { log.Append(e.Time, e.Kind, e.Dom, e.Arg) }
+	}
+	profile := bootXoar
+	if opts.Monolithic {
+		profile = bootDom0
+	}
+	var pl *Platform
+	var err error
+	done := false
+	env.Spawn("boot", func(p *sim.Proc) {
+		pl, err = profile(p, h, opts)
+		done = true
+	})
+	for i := 0; i < maxBootSteps && !done; i++ {
+		env.RunFor(sim.Second)
+	}
+	if err == nil && !done {
+		err = fmt.Errorf("boot: did not complete within %d s", maxBootSteps)
+	}
+	if err != nil {
+		env.Shutdown()
+		return nil, err
+	}
+	return pl, nil
 }
 
 // bootShardDirect creates and boots a component domain directly (the
@@ -139,12 +191,13 @@ func shardAssignment(role string) hv.Assignment {
 	}
 }
 
-// BootXoar boots the disaggregated platform. Call from a sim process.
-func BootXoar(p *sim.Proc, h *hv.Hypervisor, cat *osimage.Catalog, opts Options) (*Platform, error) {
+// bootXoar boots the disaggregated platform from the boot process.
+func bootXoar(p *sim.Proc, h *hv.Hypervisor, opts Options) (*Platform, error) {
 	if opts.Toolstacks <= 0 {
 		opts.Toolstacks = 1
 	}
 	h.EnforceShardIVC = true
+	cat := osimage.DefaultCatalog()
 	pl := &Platform{HV: h, Catalog: cat}
 
 	bootSpan := opts.Telemetry.StartSpan("boot", "boot:xoar", p.Now())

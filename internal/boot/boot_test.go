@@ -12,50 +12,59 @@ import (
 	"xoar/internal/sim"
 	"xoar/internal/snapshot"
 	"xoar/internal/toolstack"
+	"xoar/internal/workload"
 	"xoar/internal/xenstore"
 	"xoar/internal/xtypes"
 )
 
-func bootXoar(t *testing.T, opts Options) (*sim.Env, *hv.Hypervisor, *Platform) {
+func newHost(t *testing.T, opts Options) (*sim.Env, *hv.Hypervisor, *Platform) {
 	t.Helper()
 	env := sim.NewEnv(1)
-	h := hv.New(env, hw.NewMachine(env))
-	var pl *Platform
-	var err error
-	env.Spawn("boot", func(p *sim.Proc) {
-		pl, err = BootXoar(p, h, osimage.DefaultCatalog(), opts)
-	})
-	env.RunFor(120 * sim.Second)
+	pl, err := New(env, opts)
 	if err != nil {
-		t.Fatalf("xoar boot: %v", err)
+		t.Fatalf("boot (monolithic=%v): %v", opts.Monolithic, err)
 	}
-	if pl == nil {
-		t.Fatal("boot did not finish in 120s")
-	}
-	return env, h, pl
+	return env, pl.HV, pl
 }
 
-func bootDom0(t *testing.T) (*sim.Env, *hv.Hypervisor, *Platform) {
-	t.Helper()
-	env := sim.NewEnv(1)
-	h := hv.New(env, hw.NewMachine(env))
-	var pl *Platform
-	var err error
-	env.Spawn("boot", func(p *sim.Proc) {
-		pl, err = BootDom0(p, h, osimage.DefaultCatalog(), Options{})
-	})
-	env.RunFor(120 * sim.Second)
-	if err != nil {
-		t.Fatalf("dom0 boot: %v", err)
+// tinyMachine cannot hold either profile's control plane.
+var tinyMachine = hw.MachineConfig{CPUs: 4, RAMMB: 256, NICs: 1, Disks: 1}
+
+// TestNewFailedBootLeavesNoProcess: a boot that runs out of memory reports
+// ErrNoMem, and New shuts its env down so no boot process stays parked.
+func TestNewFailedBootLeavesNoProcess(t *testing.T) {
+	for _, mono := range []bool{false, true} {
+		env := sim.NewEnv(1)
+		pl, err := New(env, Options{Monolithic: mono, Machine: tinyMachine})
+		if pl != nil || !errors.Is(err, xtypes.ErrNoMem) {
+			t.Errorf("monolithic=%v: got (%v, %v), want ErrNoMem", mono, pl, err)
+		}
+		if n := env.LiveProcs(); n != 0 {
+			t.Errorf("monolithic=%v: %d processes outlive the failed boot", mono, n)
+		}
 	}
-	if pl == nil {
-		t.Fatal("boot did not finish")
+}
+
+// TestNewClockContract: New returns at the first whole simulated second at
+// or after Timings.Done, and a zero Machine is the paper's testbed.
+func TestNewClockContract(t *testing.T) {
+	for _, mono := range []bool{false, true} {
+		env, _, pl := newHost(t, Options{Monolithic: mono})
+		sec := sim.Time(sim.Second)
+		if want := (pl.Timings.Done + sec - 1) / sec * sec; env.Now() != want {
+			t.Errorf("monolithic=%v: returned at %v, want %v (done %v)", mono, env.Now(), want, pl.Timings.Done)
+		}
+		m := pl.HV.Machine
+		if len(m.CPUs) != 4 || m.RAMMB != 4096 || len(pl.NetBacks) != 1 || len(pl.BlkBacks) != 1 {
+			t.Errorf("monolithic=%v: zero Machine gave %d CPUs, %d MB, %d NetBacks, %d BlkBacks",
+				mono, len(m.CPUs), m.RAMMB, len(pl.NetBacks), len(pl.BlkBacks))
+		}
+		env.Shutdown()
 	}
-	return env, h, pl
 }
 
 func TestXoarBootBringsUpAllComponents(t *testing.T) {
-	env, h, pl := bootXoar(t, Options{})
+	env, h, pl := newHost(t, Options{})
 	defer env.Shutdown()
 	if pl.Console == nil || !pl.Console.Serving() {
 		t.Fatal("console not serving")
@@ -85,7 +94,7 @@ func TestXoarBootBringsUpAllComponents(t *testing.T) {
 }
 
 func TestXoarBootTimingsOrdering(t *testing.T) {
-	env, _, pl := bootXoar(t, Options{})
+	env, _, pl := newHost(t, Options{})
 	defer env.Shutdown()
 	tm := pl.Timings
 	if tm.ConsoleReady <= 0 || tm.PingReady < tm.ConsoleReady || tm.Done < tm.PingReady {
@@ -94,9 +103,9 @@ func TestXoarBootTimingsOrdering(t *testing.T) {
 }
 
 func TestBootComparisonMatchesPaperShape(t *testing.T) {
-	env1, _, xoar := bootXoar(t, Options{})
+	env1, _, xoar := newHost(t, Options{})
 	defer env1.Shutdown()
-	env2, _, dom0 := bootDom0(t)
+	env2, _, dom0 := newHost(t, Options{Monolithic: true})
 	defer env2.Shutdown()
 
 	consoleSpeedup := dom0.Timings.ConsoleReady.Seconds() / xoar.Timings.ConsoleReady.Seconds()
@@ -117,9 +126,9 @@ func TestBootComparisonMatchesPaperShape(t *testing.T) {
 }
 
 func TestSerializedBootSlower(t *testing.T) {
-	env1, _, par := bootXoar(t, Options{})
+	env1, _, par := newHost(t, Options{})
 	defer env1.Shutdown()
-	env2, _, ser := bootXoar(t, Options{Serialize: true})
+	env2, _, ser := newHost(t, Options{Serialize: true})
 	defer env2.Shutdown()
 	if ser.Timings.Done <= par.Timings.Done {
 		t.Fatalf("serialized boot (%.1fs) not slower than parallel (%.1fs)",
@@ -128,7 +137,7 @@ func TestSerializedBootSlower(t *testing.T) {
 }
 
 func TestDestroyPCIBackShrinksTCB(t *testing.T) {
-	env, h, pl := bootXoar(t, Options{DestroyPCIBack: true})
+	env, h, pl := newHost(t, Options{DestroyPCIBack: true})
 	defer env.Shutdown()
 	if _, err := h.Domain(pl.PCIBackDom); err == nil {
 		t.Fatal("pciback survived")
@@ -143,7 +152,7 @@ func TestDestroyPCIBackShrinksTCB(t *testing.T) {
 }
 
 func TestGuestLifecycleOnXoar(t *testing.T) {
-	env, h, pl := bootXoar(t, Options{})
+	env, h, pl := newHost(t, Options{})
 	defer env.Shutdown()
 	ts := pl.Toolstacks[0]
 	var g *toolstack.Guest
@@ -175,7 +184,7 @@ func TestGuestLifecycleOnXoar(t *testing.T) {
 }
 
 func TestGuestLifecycleOnDom0(t *testing.T) {
-	env, _, pl := bootDom0(t)
+	env, _, pl := newHost(t, Options{Monolithic: true})
 	defer env.Shutdown()
 	ts := pl.Toolstacks[0]
 	var err error
@@ -196,7 +205,7 @@ func TestGuestLifecycleOnDom0(t *testing.T) {
 }
 
 func TestConstraintGroupsEnforced(t *testing.T) {
-	env, _, pl := bootXoar(t, Options{})
+	env, _, pl := newHost(t, Options{})
 	defer env.Shutdown()
 	ts := pl.Toolstacks[0]
 	var err2 error
@@ -219,7 +228,7 @@ func TestConstraintGroupsEnforced(t *testing.T) {
 }
 
 func TestCustomKernelUsesBootloader(t *testing.T) {
-	env, h, pl := bootXoar(t, Options{})
+	env, h, pl := newHost(t, Options{})
 	defer env.Shutdown()
 	ts := pl.Toolstacks[0]
 	var dom xtypes.DomID
@@ -248,7 +257,7 @@ func TestCustomKernelUsesBootloader(t *testing.T) {
 }
 
 func TestUnknownImageRejectedWithoutCustomFlag(t *testing.T) {
-	env, _, pl := bootXoar(t, Options{})
+	env, _, pl := newHost(t, Options{})
 	defer env.Shutdown()
 	ts := pl.Toolstacks[0]
 	var err error
@@ -266,7 +275,7 @@ func TestUnknownImageRejectedWithoutCustomFlag(t *testing.T) {
 // events the reap fires at NetBack's autonomous hotplug loop do not perturb
 // a later microreboot-and-reconnect of the surviving guest.
 func TestDestroyReapsXenStoreTree(t *testing.T) {
-	env, h, pl := bootXoar(t, Options{})
+	env, h, pl := newHost(t, Options{})
 	defer env.Shutdown()
 	ts := pl.Toolstacks[0]
 	nb := pl.NetBacks[0]
@@ -316,7 +325,7 @@ func TestDestroyReapsXenStoreTree(t *testing.T) {
 		if err = pl.Engine.RequestRestart(p, nb.Dom); err != nil {
 			return
 		}
-		vm := &guest.VM{H: h, Dom: g2.Dom, Net: g2.Net, Blk: g2.Blk, NetB: g2.NetB, BlkB: g2.BlkB}
+		vm := workload.VMOf(h, g2)
 		res = vm.Fetch(p, 8<<20, guest.SinkNull)
 	})
 	env.RunFor(120 * sim.Second)
@@ -332,9 +341,9 @@ func TestDestroyReapsXenStoreTree(t *testing.T) {
 }
 
 func TestBootTimesPrinted(t *testing.T) {
-	env1, _, xoar := bootXoar(t, Options{})
+	env1, _, xoar := newHost(t, Options{})
 	defer env1.Shutdown()
-	env2, _, dom0 := bootDom0(t)
+	env2, _, dom0 := newHost(t, Options{Monolithic: true})
 	defer env2.Shutdown()
 	t.Logf("Table 6.2 — boot: dom0 console %.1fs ping %.1fs | xoar console %.1fs ping %.1fs",
 		dom0.Timings.ConsoleReady.Seconds(), dom0.Timings.PingReady.Seconds(),

@@ -15,13 +15,14 @@ import (
 	"xoar/internal/xtypes"
 )
 
-// BootDom0 boots the stock monolithic platform: one control VM hosting
+// bootDom0 boots the stock monolithic platform: one control VM hosting
 // every service, with full privilege over the system. The same component
 // objects are instantiated as in Xoar — but all homed in the single Dom0
 // domain, co-located on its two vCPUs (the XenServer default, §6.1), inside
 // one trust boundary, and brought up strictly sequentially.
-func BootDom0(p *sim.Proc, h *hv.Hypervisor, cat *osimage.Catalog, opts Options) (*Platform, error) {
+func bootDom0(p *sim.Proc, h *hv.Hypervisor, opts Options) (*Platform, error) {
 	h.EnforceShardIVC = false
+	cat := osimage.DefaultCatalog()
 	pl := &Platform{HV: h, Catalog: cat, Monolithic: true}
 
 	bootSpan := opts.Telemetry.StartSpan("boot", "boot:dom0", p.Now())

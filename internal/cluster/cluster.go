@@ -1,6 +1,6 @@
 // Package cluster runs a fleet of simulated Xoar hosts — each its own
-// hw.Machine and hv.Hypervisor booted through the standard profile — inside
-// one deterministic sim.Env, under a cluster scheduler.
+// hw.Machine and hv.Hypervisor, assembled and booted by boot.New — inside one
+// deterministic sim.Env, under a cluster scheduler.
 //
 // The paper's security argument (§2.3 blast radius, §5 microreboot exposure
 // windows) is made per host; this layer is where it becomes
@@ -133,11 +133,6 @@ func New(cfg Config) (*Cluster, error) {
 	if cfg.HeadroomMB <= 0 {
 		cfg.HeadroomMB = 64
 	}
-	mcfg := cfg.Machine
-	if mcfg == (hw.MachineConfig{}) {
-		mcfg = hw.DefaultMachineConfig()
-	}
-
 	env := sim.NewEnv(cfg.Seed)
 	c := &Cluster{
 		Env:     env,
@@ -149,31 +144,21 @@ func New(cfg Config) (*Cluster, error) {
 	}
 	for i := 0; i < cfg.Hosts; i++ {
 		name := fmt.Sprintf("host-%d", i)
-		h := hv.New(env, hw.NewMachineWith(env, mcfg))
-		host := &Host{Index: i, Name: name, HV: h, guests: make(map[xtypes.DomID]*Guest)}
-
-		var bootErr error
-		done := false
-		env.Spawn("boot-"+name, func(p *sim.Proc) {
-			host.PL, bootErr = boot.BootXoar(p, h, osimage.DefaultCatalog(), boot.Options{
-				Toolstacks: 1,
-				NoConsole:  true,
-				Telemetry:  cfg.Fleet.Host(name),
-				GuestQuota: cfg.GuestQuota,
-			})
-			done = true
+		pl, err := boot.New(env, boot.Options{
+			Toolstacks: 1,
+			NoConsole:  true,
+			Telemetry:  cfg.Fleet.Host(name),
+			GuestQuota: cfg.GuestQuota,
+			Machine:    cfg.Machine,
 		})
-		for t := 0; t < 300 && !done; t++ {
-			env.RunFor(sim.Second)
+		if err != nil {
+			return nil, fmt.Errorf("cluster: %s: %w", name, err)
 		}
-		if bootErr != nil {
-			return nil, fmt.Errorf("cluster: %s: %w", name, bootErr)
-		}
-		if !done {
-			return nil, fmt.Errorf("cluster: %s did not finish booting", name)
-		}
-		host.capacityMB = h.MM.FreeMB() - cfg.HeadroomMB
-		c.Hosts = append(c.Hosts, host)
+		c.Hosts = append(c.Hosts, &Host{
+			Index: i, Name: name, HV: pl.HV, PL: pl,
+			capacityMB: pl.HV.MM.FreeMB() - cfg.HeadroomMB,
+			guests:     make(map[xtypes.DomID]*Guest),
+		})
 	}
 	return c, nil
 }

@@ -26,6 +26,7 @@ import (
 	"xoar/internal/sim"
 	"xoar/internal/snapshot"
 	"xoar/internal/toolstack"
+	"xoar/internal/workload"
 	"xoar/internal/xtypes"
 )
 
@@ -81,7 +82,6 @@ type Platform struct {
 	Boot    *boot.Platform
 	Log     *audit.Log
 
-	engine *snapshot.Engine
 	guests map[xtypes.DomID]*Guest
 }
 
@@ -116,37 +116,19 @@ func NewCluster(profile Profile, cfg Config, n int) ([]*Platform, error) {
 }
 
 func newPlatform(env *sim.Env, profile Profile, cfg Config) (*Platform, error) {
-	mcfg := cfg.Machine
-	if mcfg == (hw.MachineConfig{}) {
-		mcfg = hw.DefaultMachineConfig()
-	}
-	h := hv.New(env, hw.NewMachineWith(env, mcfg))
 	log := audit.NewLog()
-	h.Sink = func(e hv.Event) { log.Append(e.Time, e.Kind, e.Dom, e.Arg) }
-
-	pl := &Platform{Profile: profile, Env: env, HV: h, Log: log, guests: make(map[xtypes.DomID]*Guest)}
-	var bootErr error
-	done := false
-	env.Spawn("boot", func(p *sim.Proc) {
-		opts := boot.Options{Toolstacks: cfg.Toolstacks, DestroyPCIBack: cfg.DestroyPCIBack, NoConsole: cfg.NoConsole}
-		if profile == MonolithicDom0 {
-			pl.Boot, bootErr = boot.BootDom0(p, h, osimage.DefaultCatalog(), opts)
-		} else {
-			pl.Boot, bootErr = boot.BootXoar(p, h, osimage.DefaultCatalog(), opts)
-		}
-		done = true
+	bp, err := boot.New(env, boot.Options{
+		Toolstacks:     cfg.Toolstacks,
+		DestroyPCIBack: cfg.DestroyPCIBack,
+		NoConsole:      cfg.NoConsole,
+		Machine:        cfg.Machine,
+		Audit:          log,
+		Monolithic:     profile == MonolithicDom0,
 	})
-	for i := 0; i < 300 && !done; i++ {
-		env.RunFor(sim.Second)
+	if err != nil {
+		return nil, err
 	}
-	if bootErr != nil {
-		return nil, bootErr
-	}
-	if !done {
-		return nil, fmt.Errorf("core: boot did not complete")
-	}
-	pl.engine = snapshot.NewEngine(h, pl.Boot.BuilderDom)
-	return pl, nil
+	return &Platform{Profile: profile, Env: env, HV: bp.HV, Boot: bp, Log: log, guests: make(map[xtypes.DomID]*Guest)}, nil
 }
 
 // GuestSpec describes a guest to create.
@@ -209,13 +191,7 @@ func (pl *Platform) CreateGuest(spec GuestSpec) (*Guest, error) {
 	if !done {
 		return nil, fmt.Errorf("core: guest creation did not complete")
 	}
-	g := &Guest{
-		Name: spec.Name,
-		Dom:  rec.Dom,
-		VM:   &guest.VM{H: pl.HV, Dom: rec.Dom, Net: rec.Net, Blk: rec.Blk, NetB: rec.NetB, BlkB: rec.BlkB},
-		rec:  rec,
-		pl:   pl,
-	}
+	g := &Guest{Name: spec.Name, Dom: rec.Dom, VM: workload.VMOf(pl.HV, rec), rec: rec, pl: pl}
 	pl.guests[rec.Dom] = g
 	return g, nil
 }
@@ -268,26 +244,31 @@ func (pl *Platform) manage(c snapshot.Restartable, policy RestartPolicy) error {
 	if pl.Profile == MonolithicDom0 {
 		return fmt.Errorf("core: microreboots need the shard architecture: %w", xtypes.ErrInvalid)
 	}
-	if _, ok := pl.engine.Stats(c.Dom()); ok {
+	eng := pl.Boot.Engine
+	if _, ok := eng.Stats(c.Dom()); ok {
 		if policy.Interval <= 0 {
-			pl.engine.Unmanage(c.Dom())
+			eng.Unmanage(c.Dom())
 			return nil
 		}
-		return pl.engine.SetPolicy(c.Dom(), snapshot.Policy{
+		return eng.SetPolicy(c.Dom(), snapshot.Policy{
 			Kind: snapshot.PolicyTimer, Interval: policy.Interval, Fast: policy.Fast,
 		})
 	}
 	if policy.Interval <= 0 {
 		return nil
 	}
-	return pl.engine.Manage(c, snapshot.Policy{
+	return eng.Manage(c, snapshot.Policy{
 		Kind: snapshot.PolicyTimer, Interval: policy.Interval, Fast: policy.Fast,
 	})
 }
 
-// RestartStats reports microreboot accounting for a component domain.
+// RestartStats reports microreboot accounting for a component domain. The
+// monolithic profile has no restart engine, so nothing is ever managed.
 func (pl *Platform) RestartStats(dom xtypes.DomID) (snapshot.Stats, bool) {
-	return pl.engine.Stats(dom)
+	if pl.Boot.Engine == nil {
+		return snapshot.Stats{}, false
+	}
+	return pl.Boot.Engine.Stats(dom)
 }
 
 // Advance runs the virtual clock forward by d.

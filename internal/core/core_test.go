@@ -33,6 +33,24 @@ func TestNewXoarPlatform(t *testing.T) {
 	}
 }
 
+// TestNewFailedBootLeavesNoProcess: a platform that cannot fit its control
+// plane fails with ErrNoMem and leaves nothing running on its clock.
+func TestNewFailedBootLeavesNoProcess(t *testing.T) {
+	tiny := hw.MachineConfig{CPUs: 4, RAMMB: 256, NICs: 1, Disks: 1}
+	for _, profile := range []Profile{XoarShards, MonolithicDom0} {
+		if _, err := New(profile, Config{Seed: 1, Machine: tiny}); !errors.Is(err, xtypes.ErrNoMem) {
+			t.Errorf("%v: New err = %v, want ErrNoMem", profile, err)
+		}
+		env := sim.NewEnv(1)
+		if _, err := newPlatform(env, profile, Config{Machine: tiny}); !errors.Is(err, xtypes.ErrNoMem) {
+			t.Errorf("%v: err = %v, want ErrNoMem", profile, err)
+		}
+		if n := env.LiveProcs(); n != 0 {
+			t.Errorf("%v: %d processes outlive the failed boot", profile, n)
+		}
+	}
+}
+
 func TestGuestLifecycleAndConsole(t *testing.T) {
 	pl, err := New(XoarShards, Config{Seed: 1})
 	if err != nil {
@@ -128,6 +146,9 @@ func TestRestartPolicyRefusedOnDom0(t *testing.T) {
 	defer pl.Shutdown()
 	if err := pl.SetNetBackRestartPolicy(RestartPolicy{Interval: sim.Second}); !errors.Is(err, xtypes.ErrInvalid) {
 		t.Fatalf("dom0 restart policy: %v", err)
+	}
+	if _, ok := pl.RestartStats(pl.Boot.NetBacks[0].Dom); ok {
+		t.Fatal("dom0 reports a managed NetBack")
 	}
 }
 

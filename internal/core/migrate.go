@@ -6,6 +6,7 @@ import (
 	"xoar/internal/migrate"
 	"xoar/internal/sim"
 	"xoar/internal/toolstack"
+	"xoar/internal/workload"
 	"xoar/internal/xtypes"
 )
 
@@ -69,7 +70,7 @@ func (pl *Platform) MigrateGuest(g *Guest, dst *Platform) (*MigrationResult, err
 		ng := &Guest{
 			Name: g.Name,
 			Dom:  newDom,
-			VM:   newVMFromRecord(dst.HV, rec),
+			VM:   workload.VMOf(dst.HV, rec),
 			rec:  rec,
 			pl:   dst,
 		}

@@ -45,7 +45,7 @@ func (pl *Platform) UpgradeNetBack(index int) (xtypes.DomID, error) {
 	}
 
 	// Any restart policy on the old shard dies with it.
-	pl.engine.Unmanage(oldDom)
+	pl.Boot.Engine.Unmanage(oldDom)
 
 	var newDom xtypes.DomID
 	var err error

@@ -2,9 +2,6 @@ package experiments
 
 import (
 	"xoar/internal/boot"
-	"xoar/internal/hv"
-	"xoar/internal/hw"
-	"xoar/internal/osimage"
 	"xoar/internal/seceval"
 	"xoar/internal/sim"
 	"xoar/internal/snapshot"
@@ -20,18 +17,11 @@ func Ablations() (Table, error) {
 
 	// 1. Parallel vs serialized boot (the Table 6.2 mechanism).
 	bootTime := func(serialize bool) (float64, error) {
-		env := sim.NewEnv(1)
-		h := hv.New(env, hw.NewMachine(env))
-		var pl *boot.Platform
-		var err error
-		env.Spawn("boot", func(p *sim.Proc) {
-			pl, err = boot.BootXoar(p, h, osimage.DefaultCatalog(), boot.Options{Serialize: serialize})
-		})
-		env.RunFor(300 * sim.Second)
-		defer env.Shutdown()
+		pl, err := boot.New(sim.NewEnv(1), boot.Options{Serialize: serialize})
 		if err != nil {
 			return 0, err
 		}
+		defer pl.HV.Env.Shutdown()
 		return pl.Timings.Done.Seconds(), nil
 	}
 	par, err := bootTime(false)
@@ -49,18 +39,12 @@ func Ablations() (Table, error) {
 
 	// 2. PCIBack destruction: resident control-plane domains at steady state.
 	countDomains := func(destroy bool) (float64, error) {
-		env := sim.NewEnv(1)
-		h := hv.New(env, hw.NewMachine(env))
-		var err error
-		env.Spawn("boot", func(p *sim.Proc) {
-			_, err = boot.BootXoar(p, h, osimage.DefaultCatalog(), boot.Options{DestroyPCIBack: destroy})
-		})
-		env.RunFor(300 * sim.Second)
-		defer env.Shutdown()
+		pl, err := boot.New(sim.NewEnv(1), boot.Options{DestroyPCIBack: destroy})
 		if err != nil {
 			return 0, err
 		}
-		return float64(len(h.Domains())), nil
+		defer pl.HV.Env.Shutdown()
+		return float64(len(pl.HV.Domains())), nil
 	}
 	resident, err := countDomains(false)
 	if err != nil {
@@ -85,14 +69,13 @@ func Ablations() (Table, error) {
 		if _, err := rig.NewGuest("g"); err != nil {
 			return 0, err
 		}
-		eng := snapshot.NewEngine(rig.HV, rig.PL.BuilderDom)
-		if err := eng.Manage(rig.PL.NetBacks[0].AsRestartable(), snapshot.Policy{
+		if err := rig.PL.Engine.Manage(rig.PL.NetBacks[0].AsRestartable(), snapshot.Policy{
 			Kind: snapshot.PolicyTimer, Interval: sim.Second, Fast: fast,
 		}); err != nil {
 			return 0, err
 		}
 		rig.Env.RunFor(10 * sim.Second)
-		st, _ := eng.Stats(rig.PL.NetBacks[0].Dom)
+		st, _ := rig.PL.Engine.Stats(rig.PL.NetBacks[0].Dom)
 		if st.Restarts == 0 {
 			return 0, nil
 		}

@@ -12,10 +12,10 @@ import (
 	"xoar/internal/boot"
 	"xoar/internal/guest"
 	"xoar/internal/hv"
-	"xoar/internal/hw"
 	"xoar/internal/osimage"
 	"xoar/internal/sim"
 	"xoar/internal/toolstack"
+	"xoar/internal/workload"
 )
 
 // Profile selects the platform under test.
@@ -65,29 +65,18 @@ func BootRig(profile Profile, seed int64) (*Rig, error) {
 }
 
 // BootRigOpts boots a profile with explicit boot options — the hook for
-// wiring a telemetry registry (or any other boot knob) into an experiment.
+// wiring a telemetry registry, a non-default machine (opts.Machine), or any
+// other boot knob into an experiment. The profile overrides
+// opts.Monolithic. Experiments start at t = 200 s on a settled host.
 func BootRigOpts(profile Profile, seed int64, opts boot.Options) (*Rig, error) {
 	env := sim.NewEnv(seed)
-	h := hv.New(env, hw.NewMachine(env))
-	var pl *boot.Platform
-	var err error
-	done := false
-	env.Spawn("boot", func(p *sim.Proc) {
-		if profile == Dom0 {
-			pl, err = boot.BootDom0(p, h, osimage.DefaultCatalog(), opts)
-		} else {
-			pl, err = boot.BootXoar(p, h, osimage.DefaultCatalog(), opts)
-		}
-		done = true
-	})
-	env.RunFor(200 * sim.Second)
+	opts.Monolithic = profile == Dom0
+	pl, err := boot.New(env, opts)
 	if err != nil {
 		return nil, err
 	}
-	if !done {
-		return nil, fmt.Errorf("experiments: boot did not complete")
-	}
-	return &Rig{Env: env, HV: h, PL: pl}, nil
+	env.Run(sim.Time(200 * sim.Second))
+	return &Rig{Env: env, HV: pl.HV, PL: pl}, nil
 }
 
 // Close tears the rig down, reaping its processes.
@@ -106,7 +95,7 @@ func (r *Rig) NewGuest(name string) (*guest.VM, error) {
 			Net: true, Disk: true, DiskMB: 15 * 1024,
 		})
 		if err == nil {
-			vm = &guest.VM{H: r.HV, Dom: g.Dom, Net: g.Net, Blk: g.Blk, NetB: g.NetB, BlkB: g.BlkB}
+			vm = workload.VMOf(r.HV, g)
 		}
 		done = true
 	})

@@ -5,9 +5,6 @@ import (
 
 	"xoar/internal/boot"
 	"xoar/internal/guest"
-	"xoar/internal/hv"
-	"xoar/internal/hw"
-	"xoar/internal/osimage"
 	"xoar/internal/sim"
 	"xoar/internal/snapshot"
 	"xoar/internal/workload"
@@ -58,24 +55,16 @@ func MemoryOverhead() (Table, error) {
 	t.Rows = append(t.Rows, Row{Label: "total (full config)", Measured: total, Paper: 896, Unit: "MB"})
 
 	// The minimal hosting configuration: no console, PCIBack destroyed.
-	envMin := sim.NewEnv(1)
-	hMin := hv.New(envMin, hw.NewMachine(envMin))
-	var plMin *boot.Platform
-	var errMin error
-	envMin.Spawn("boot", func(p *sim.Proc) {
-		plMin, errMin = boot.BootXoar(p, hMin, osimage.DefaultCatalog(), boot.Options{NoConsole: true, DestroyPCIBack: true})
-	})
-	envMin.RunFor(200 * sim.Second)
-	if errMin == nil && plMin != nil {
+	if plMin, err := boot.New(sim.NewEnv(1), boot.Options{NoConsole: true, DestroyPCIBack: true}); err == nil {
 		minTotal := 0.0
-		for _, d := range hMin.Domains() {
+		for _, d := range plMin.HV.Domains() {
 			if d.IsShard() {
 				minTotal += float64(d.Mem.MaxMB())
 			}
 		}
 		t.Rows = append(t.Rows, Row{Label: "total (minimal config)", Measured: minTotal, Paper: 512, Unit: "MB"})
+		plMin.HV.Env.Shutdown()
 	}
-	envMin.Shutdown()
 
 	t.Rows = append(t.Rows, Row{Label: "dom0 default (XenServer)", Measured: 750, Paper: 750, Unit: "MB"})
 	t.Notes = append(t.Notes,
@@ -111,21 +100,14 @@ func BootTime() (Table, error) {
 	)
 
 	// Ablation: serialized Xoar boot (no Bootstrapper parallelism).
-	envS := sim.NewEnv(1)
-	hS := hv.New(envS, hw.NewMachine(envS))
-	var plS *boot.Platform
-	envS.Spawn("boot", func(p *sim.Proc) {
-		plS, err = boot.BootXoar(p, hS, osimage.DefaultCatalog(), boot.Options{Serialize: true})
-	})
-	envS.RunFor(300 * sim.Second)
-	if err == nil && plS != nil {
+	if plS, err := boot.New(sim.NewEnv(1), boot.Options{Serialize: true}); err == nil {
 		// Console comes up first either way; the parallelism win shows in
 		// the full-platform boot time.
 		t.Rows = append(t.Rows,
 			Row{Label: "xoar full boot (parallel)", Measured: rigX.PL.Timings.Done.Seconds(), Unit: "s"},
 			Row{Label: "xoar full boot (serialized, ablation)", Measured: plS.Timings.Done.Seconds(), Unit: "s"})
+		plS.HV.Env.Shutdown()
 	}
-	envS.Shutdown()
 	return t, nil
 }
 
@@ -282,8 +264,7 @@ func oneRestartRun(bytes int64, intervalSec int, fast bool) (float64, error) {
 		return 0, err
 	}
 	if intervalSec > 0 {
-		eng := snapshot.NewEngine(rig.HV, rig.PL.BuilderDom)
-		if err := eng.Manage(rig.PL.NetBacks[0].AsRestartable(), snapshot.Policy{
+		if err := rig.PL.Engine.Manage(rig.PL.NetBacks[0].AsRestartable(), snapshot.Policy{
 			Kind: snapshot.PolicyTimer, Interval: sim.Duration(intervalSec) * sim.Second, Fast: fast,
 		}); err != nil {
 			return 0, err
@@ -316,8 +297,7 @@ func KernelBuild(scale Scale) (Table, error) {
 			return 0, err
 		}
 		if restartSec > 0 {
-			eng := snapshot.NewEngine(rig.HV, rig.PL.BuilderDom)
-			if err := eng.Manage(rig.PL.NetBacks[0].AsRestartable(), snapshot.Policy{
+			if err := rig.PL.Engine.Manage(rig.PL.NetBacks[0].AsRestartable(), snapshot.Policy{
 				Kind: snapshot.PolicyTimer, Interval: sim.Duration(restartSec) * sim.Second,
 			}); err != nil {
 				return 0, err
@@ -377,8 +357,7 @@ func Apache(scale Scale) (Table, error) {
 			return guest.HTTPBenchResult{}, err
 		}
 		if restartSec > 0 {
-			eng := snapshot.NewEngine(rig.HV, rig.PL.BuilderDom)
-			if err := eng.Manage(rig.PL.NetBacks[0].AsRestartable(), snapshot.Policy{
+			if err := rig.PL.Engine.Manage(rig.PL.NetBacks[0].AsRestartable(), snapshot.Policy{
 				Kind: snapshot.PolicyTimer, Interval: sim.Duration(restartSec) * sim.Second,
 			}); err != nil {
 				return guest.HTTPBenchResult{}, err

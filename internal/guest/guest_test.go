@@ -5,7 +5,6 @@ import (
 
 	"xoar/internal/boot"
 	"xoar/internal/hv"
-	"xoar/internal/hw"
 	"xoar/internal/osimage"
 	"xoar/internal/sim"
 	"xoar/internal/snapshot"
@@ -16,15 +15,12 @@ import (
 func platform(t *testing.T) (*sim.Env, *boot.Platform, *VM) {
 	t.Helper()
 	env := sim.NewEnv(1)
-	h := hv.New(env, hw.NewMachine(env))
-	var pl *boot.Platform
+	pl, err := boot.New(env, boot.Options{})
+	if err != nil {
+		t.Fatalf("platform: %v", err)
+	}
 	var vm *VM
-	var err error
 	env.Spawn("setup", func(p *sim.Proc) {
-		pl, err = boot.BootXoar(p, h, osimage.DefaultCatalog(), boot.Options{})
-		if err != nil {
-			return
-		}
 		var g *toolstack.Guest
 		g, err = pl.Toolstacks[0].CreateVM(p, toolstack.GuestConfig{
 			Name: "guest", Image: osimage.ImgGuestPV, VCPUs: 2, Net: true, Disk: true,
@@ -32,9 +28,9 @@ func platform(t *testing.T) (*sim.Env, *boot.Platform, *VM) {
 		if err != nil {
 			return
 		}
-		vm = &VM{H: h, Dom: g.Dom, Net: g.Net, Blk: g.Blk, NetB: g.NetB, BlkB: g.BlkB}
+		vm = &VM{H: pl.HV, Dom: g.Dom, Net: g.Net, Blk: g.Blk, NetB: g.NetB, BlkB: g.BlkB}
 	})
-	env.RunFor(200 * sim.Second)
+	env.Run(sim.Time(200 * sim.Second))
 	if err != nil {
 		t.Fatalf("platform: %v", err)
 	}

@@ -6,7 +6,6 @@ import (
 
 	"xoar/internal/boot"
 	"xoar/internal/hv"
-	"xoar/internal/hw"
 	"xoar/internal/osimage"
 	"xoar/internal/sim"
 	"xoar/internal/toolstack"
@@ -63,19 +62,12 @@ func TestRegistryCounts(t *testing.T) {
 func bootPlatform(t *testing.T, monolithic bool) (*sim.Env, *boot.Platform, []xtypes.DomID) {
 	t.Helper()
 	env := sim.NewEnv(1)
-	h := hv.New(env, hw.NewMachine(env))
-	var pl *boot.Platform
+	pl, err := boot.New(env, boot.Options{Monolithic: monolithic})
+	if err != nil {
+		t.Fatalf("platform: %v", err)
+	}
 	var guests []xtypes.DomID
-	var err error
 	env.Spawn("setup", func(p *sim.Proc) {
-		if monolithic {
-			pl, err = boot.BootDom0(p, h, osimage.DefaultCatalog(), boot.Options{})
-		} else {
-			pl, err = boot.BootXoar(p, h, osimage.DefaultCatalog(), boot.Options{})
-		}
-		if err != nil {
-			return
-		}
 		for _, name := range []string{"victimA", "victimB"} {
 			g, cerr := pl.Toolstacks[0].CreateVM(p, toolstack.GuestConfig{
 				Name: name, Image: osimage.ImgGuestPV, Net: true, Disk: true,
@@ -87,7 +79,7 @@ func bootPlatform(t *testing.T, monolithic bool) (*sim.Env, *boot.Platform, []xt
 			guests = append(guests, g.Dom)
 		}
 	})
-	env.RunFor(300 * sim.Second)
+	env.Run(sim.Time(300 * sim.Second))
 	if err != nil {
 		t.Fatalf("platform: %v", err)
 	}

@@ -6,7 +6,6 @@ import (
 
 	"xoar/internal/boot"
 	"xoar/internal/hv"
-	"xoar/internal/hw"
 	"xoar/internal/osimage"
 	"xoar/internal/sim"
 	"xoar/internal/toolstack"
@@ -25,17 +24,11 @@ type rig struct {
 func newRig(t *testing.T) *rig {
 	t.Helper()
 	env := sim.NewEnv(1)
-	h := hv.New(env, hw.NewMachine(env))
-	var pl *boot.Platform
-	var err error
-	env.Spawn("boot", func(p *sim.Proc) {
-		pl, err = boot.BootXoar(p, h, osimage.DefaultCatalog(), boot.Options{})
-	})
-	env.RunFor(120 * sim.Second)
-	if err != nil || pl == nil {
+	pl, err := boot.New(env, boot.Options{})
+	if err != nil {
 		t.Fatalf("boot: %v", err)
 	}
-	return &rig{env: env, h: h, pl: pl, ts: pl.Toolstacks[0]}
+	return &rig{env: env, h: pl.HV, pl: pl, ts: pl.Toolstacks[0]}
 }
 
 func (r *rig) create(t *testing.T, cfg toolstack.GuestConfig) (*toolstack.Guest, error) {

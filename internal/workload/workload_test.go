@@ -5,8 +5,6 @@ import (
 
 	"xoar/internal/boot"
 	"xoar/internal/guest"
-	"xoar/internal/hv"
-	"xoar/internal/hw"
 	"xoar/internal/osimage"
 	"xoar/internal/sim"
 	"xoar/internal/toolstack"
@@ -16,19 +14,12 @@ import (
 func platform(t *testing.T, monolithic bool) (*sim.Env, *boot.Platform, *guest.VM) {
 	t.Helper()
 	env := sim.NewEnv(1)
-	h := hv.New(env, hw.NewMachine(env))
-	var pl *boot.Platform
+	pl, err := boot.New(env, boot.Options{Monolithic: monolithic})
+	if err != nil {
+		t.Fatalf("platform: %v", err)
+	}
 	var vm *guest.VM
-	var err error
 	env.Spawn("setup", func(p *sim.Proc) {
-		if monolithic {
-			pl, err = boot.BootDom0(p, h, osimage.DefaultCatalog(), boot.Options{})
-		} else {
-			pl, err = boot.BootXoar(p, h, osimage.DefaultCatalog(), boot.Options{})
-		}
-		if err != nil {
-			return
-		}
 		var g *toolstack.Guest
 		g, err = pl.Toolstacks[0].CreateVM(p, toolstack.GuestConfig{
 			Name: "guest", Image: osimage.ImgGuestPV, VCPUs: 2, Net: true, Disk: true,
@@ -36,9 +27,9 @@ func platform(t *testing.T, monolithic bool) (*sim.Env, *boot.Platform, *guest.V
 		if err != nil {
 			return
 		}
-		vm = VMOf(h, g)
+		vm = VMOf(pl.HV, g)
 	})
-	env.RunFor(200 * sim.Second)
+	env.Run(sim.Time(200 * sim.Second))
 	if err != nil || vm == nil {
 		t.Fatalf("platform: %v", err)
 	}
