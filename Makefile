@@ -18,10 +18,12 @@ fmt:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; \
 	fi
 
-# lint runs the repo's own analyzers (internal/xoarlint): privilege-audit,
-# sim-determinism, shard-layering and error-wrapping invariants. The same
-# passes run inside `go test ./...` via xoarlint_test.go, so this target is
-# the fast, focused entry point.
+# lint runs the repo's own analyzers (internal/xoarlint): privilege audit
+# (privflow: every hv entry point audits its caller, audits dominate
+# mutations, only h.deny counts refusals), audit-log wiring, sim
+# determinism, shard layering, error wrapping, metric names and hot-path
+# allocation freedom. The same passes run inside `go test ./...` via
+# xoarlint_test.go, so this target is the fast, focused entry point.
 lint:
 	$(GO) run ./cmd/xoarlint ./...
 
@@ -90,9 +92,10 @@ fuzz:
 # statement space the hv unit tests, the seceval probes, and the attack
 # suite actually execute, plus the same view of internal/seceval itself.
 # The floor is just under the merge-time ratio (94.0% when the gate was
-# introduced): falling below it means new privileged surface landed in hv
+# introduced, 95.0% once the refusal table tests reached every control-audit
+# branch): falling below it means new privileged surface landed in hv
 # without adversarial tests reaching it.
-HV_COVER_FLOOR ?= 93.0
+HV_COVER_FLOOR ?= 94.5
 cover:
 	$(GO) test -coverprofile=cover_hv.out -coverpkg=./internal/hv ./internal/hv/... ./internal/seceval/... ./internal/attack/...
 	$(GO) test -coverprofile=cover_seceval.out -coverpkg=./internal/seceval ./internal/seceval/... ./internal/attack/...

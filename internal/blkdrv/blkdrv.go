@@ -300,27 +300,37 @@ func queueRefPath(guest xtypes.DomID, qi int) string {
 	return fmt.Sprintf("%s/ring-ref-%d", base, qi)
 }
 
-// AcceptConnection completes the backend half of the handshake.
+// AcceptConnection completes the backend half of the handshake. A
+// handshake that fails part-way unmaps every ring page it mapped.
 func (b *Backend) AcceptConnection(p *sim.Proc, guest xtypes.DomID) error {
 	v, ok := b.vbds[guest]
 	if !ok {
 		return fmt.Errorf("blkback: no vbd for %v: %w", guest, xtypes.ErrNotFound)
 	}
+	var mapped []*hv.GrantMapping
+	fail := func(err error) error {
+		for _, m := range mapped {
+			m.Unmap()
+		}
+		return err
+	}
 	for _, q := range v.queues {
 		refStr, err := b.XS.Read(xenstore.TxNone, queueRefPath(guest, q.id))
 		if err != nil {
-			return err
+			return fail(err)
 		}
 		var ref xtypes.GrantRef
 		var port xtypes.Port
 		if _, err := fmt.Sscanf(refStr, "%d/%d", &ref, &port); err != nil {
-			return fmt.Errorf("blkback: bad ring-ref %q: %w", refStr, xtypes.ErrInvalid)
+			return fail(fmt.Errorf("blkback: bad ring-ref %q: %w", refStr, xtypes.ErrInvalid))
 		}
-		if _, err := b.H.MapGrant(b.Dom, guest, ref, true); err != nil {
-			return err
+		m, err := b.H.MapGrant(b.Dom, guest, ref, true)
+		if err != nil {
+			return fail(err)
 		}
+		mapped = append(mapped, m)
 		if _, err := b.H.EvtchnBind(b.Dom, guest, port); err != nil {
-			return err
+			return fail(err)
 		}
 	}
 	v.connected = true

@@ -2,6 +2,8 @@ package blkdrv
 
 import (
 	"errors"
+	"fmt"
+	"slices"
 	"testing"
 
 	"xoar/internal/hv"
@@ -275,5 +277,47 @@ func TestBlkBatchingAmortizesNotifies(t *testing.T) {
 	}
 	if ratio := float64(st.ReqDescs) / float64(st.ReqNotifies); ratio < 4 {
 		t.Fatalf("%.1f request descs per notify, want >= 4", ratio)
+	}
+}
+
+// A handshake that fails on a later queue unmaps the ring pages of every
+// queue it already mapped, including the failing queue's own page.
+func TestFailedHandshakeUnmapsEveryRing(t *testing.T) {
+	hn := newHarness(t)
+	var err error
+	hn.env.Spawn("boot", func(p *sim.Proc) {
+		hn.back.Start(p)
+		if err = hn.back.CreateImage("guest-disk", 1024); err != nil {
+			return
+		}
+		if err = hn.back.CreateVbdQueues(hn.guest.ID, "guest-disk", 2); err != nil {
+			return
+		}
+		for qi := range 2 {
+			ref, gerr := hn.h.Grant(hn.guest.ID, hn.back.Dom, 12+xtypes.PFN(qi), false)
+			if gerr != nil {
+				err = gerr
+				return
+			}
+			// Queue 0 advertises a real event channel, queue 1 one the guest
+			// never allocated.
+			port := xtypes.Port(4000)
+			if qi == 0 {
+				if port, err = hn.h.EvtchnAllocUnbound(hn.guest.ID, hn.back.Dom); err != nil {
+					return
+				}
+			}
+			path := queueRefPath(hn.guest.ID, qi)
+			hn.front.XS.Write(xenstore.TxNone, path, fmt.Sprintf("%d/%d", ref, port))
+			hn.front.XS.SetPerms(path, xenstore.Perms{Owner: hn.guest.ID, Read: []xtypes.DomID{hn.back.Dom}})
+		}
+		err = hn.back.AcceptConnection(p, hn.guest.ID)
+	})
+	hn.env.RunFor(10 * sim.Second)
+	if err == nil {
+		t.Fatal("handshake with a bad port succeeded")
+	}
+	if slices.Contains(hn.h.MM.MappersOf(hn.guest.ID), hn.back.Dom) {
+		t.Fatalf("blkback still maps the guest after a failed handshake: %v", hn.h.MM.MappersOf(hn.guest.ID))
 	}
 }

@@ -108,7 +108,7 @@ type Domain struct {
 	// ioPorts are named port ranges the domain may touch ("console", "pci").
 	ioPorts map[string]bool
 
-	// ExitCode records why the domain died.
+	// ExitReason records why the domain died.
 	ExitReason string
 }
 
@@ -177,8 +177,8 @@ type Hypervisor struct {
 	// for exercising the restart engine's half-recovered cleanup paths.
 	Fault FaultFunc
 
-	// OnDestroy hooks run after a domain is destroyed (XenStore cleanup,
-	// driver teardown). Keyed by subscriber name for determinism in tests.
+	// onDestroy hooks run after a domain is destroyed (XenStore cleanup,
+	// driver teardown), in registration order.
 	onDestroy []func(xtypes.DomID)
 
 	domains map[xtypes.DomID]*Domain
@@ -277,8 +277,15 @@ func (h *Hypervisor) check(caller xtypes.DomID, hc xtypes.Hypercall) (*Domain, e
 	if d.priv.ControlAll || d.priv.Hypercalls[hc] {
 		return d, nil
 	}
+	return nil, h.deny(fmt.Errorf("hv: %v by %v(%s): %w", hc, caller, d.Name, xtypes.ErrPerm))
+}
+
+// deny is the one way hv refuses a call: it counts the refusal in
+// DeniedCalls and returns err. Routing every refusal through here is what
+// makes "each refusal is counted exactly once" hold by construction.
+func (h *Hypervisor) deny(err error) error {
 	h.DeniedCalls++
-	return nil, fmt.Errorf("hv: %v by %v(%s): %w", hc, caller, d.Name, xtypes.ErrPerm)
+	return err
 }
 
 // controls reports whether caller holds management rights over target:
@@ -305,6 +312,24 @@ func (h *Hypervisor) controls(caller xtypes.DomID, target *Domain) bool {
 		return true
 	}
 	return false
+}
+
+// controlled is the prologue of every management call on a target: the
+// caller must hold hc, the target must be live, and the caller must control
+// it — in that order, which HypercallCount and the winning sentinel both
+// expose. op words the refusal ("hv: <op> <target> by <caller>").
+func (h *Hypervisor) controlled(caller, target xtypes.DomID, hc xtypes.Hypercall, op string) (*Domain, error) {
+	if _, err := h.check(caller, hc); err != nil {
+		return nil, err
+	}
+	d, err := h.Domain(target)
+	if err != nil {
+		return nil, err
+	}
+	if !h.controls(caller, d) {
+		return nil, h.deny(fmt.Errorf("hv: %s %v by %v: %w", op, target, caller, xtypes.ErrPerm))
+	}
+	return d, nil
 }
 
 // --- lifecycle -------------------------------------------------------------
@@ -356,16 +381,9 @@ func (h *Hypervisor) CreateDomain(caller xtypes.DomID, cfg DomainConfig) (*Domai
 
 // Unpause starts a created or paused domain.
 func (h *Hypervisor) Unpause(caller, target xtypes.DomID) error {
-	if _, err := h.check(caller, xtypes.HyperDomctlUnpause); err != nil {
-		return err
-	}
-	d, err := h.Domain(target)
+	d, err := h.controlled(caller, target, xtypes.HyperDomctlUnpause, "unpause")
 	if err != nil {
 		return err
-	}
-	if !h.controls(caller, d) {
-		h.DeniedCalls++
-		return fmt.Errorf("hv: unpause %v by %v: %w", target, caller, xtypes.ErrPerm)
 	}
 	d.State = StateRunning
 	h.emit("unpause", target, "")
@@ -374,16 +392,9 @@ func (h *Hypervisor) Unpause(caller, target xtypes.DomID) error {
 
 // Pause stops a running domain.
 func (h *Hypervisor) Pause(caller, target xtypes.DomID) error {
-	if _, err := h.check(caller, xtypes.HyperDomctlPause); err != nil {
-		return err
-	}
-	d, err := h.Domain(target)
+	d, err := h.controlled(caller, target, xtypes.HyperDomctlPause, "pause")
 	if err != nil {
 		return err
-	}
-	if !h.controls(caller, d) {
-		h.DeniedCalls++
-		return fmt.Errorf("hv: pause %v by %v: %w", target, caller, xtypes.ErrPerm)
 	}
 	d.State = StatePaused
 	h.emit("pause", target, "")
@@ -395,16 +406,9 @@ func (h *Hypervisor) Pause(caller, target xtypes.DomID) error {
 // to the free pool, and destroy hooks run. If the domain was Critical the
 // host crashes — the stock-Xen behaviour Xoar removes for its boot shards.
 func (h *Hypervisor) DestroyDomain(caller, target xtypes.DomID, reason string) error {
-	if _, err := h.check(caller, xtypes.HyperDomctlDestroy); err != nil {
-		return err
-	}
-	d, err := h.Domain(target)
+	d, err := h.controlled(caller, target, xtypes.HyperDomctlDestroy, "destroy")
 	if err != nil {
 		return err
-	}
-	if !h.controls(caller, d) {
-		h.DeniedCalls++
-		return fmt.Errorf("hv: destroy %v by %v: %w", target, caller, xtypes.ErrPerm)
 	}
 	return h.destroy(d, reason)
 }
@@ -475,16 +479,8 @@ func (h *Hypervisor) SelfExit(caller xtypes.DomID) error {
 
 // SetMaxMem resizes a domain's reservation.
 func (h *Hypervisor) SetMaxMem(caller, target xtypes.DomID, memMB int) error {
-	if _, err := h.check(caller, xtypes.HyperDomctlMaxMem); err != nil {
+	if _, err := h.controlled(caller, target, xtypes.HyperDomctlMaxMem, "setmaxmem"); err != nil {
 		return err
-	}
-	d, err := h.Domain(target)
-	if err != nil {
-		return err
-	}
-	if !h.controls(caller, d) {
-		h.DeniedCalls++
-		return fmt.Errorf("hv: setmaxmem %v by %v: %w", target, caller, xtypes.ErrPerm)
 	}
 	return h.MM.SetMaxMem(target, memMB)
 }

@@ -37,8 +37,7 @@ func (h *Hypervisor) AssignPrivileges(caller, target xtypes.DomID, a Assignment)
 	// shard concept and Dom0 takes everything.
 	needsPriv := a.ControlAll || len(a.Hypercalls) > 0 || len(a.PCIDevices) > 0 || len(a.DelegateTo) > 0
 	if h.EnforceShardIVC && needsPriv && !d.Cfg.Shard {
-		h.DeniedCalls++
-		return fmt.Errorf("hv: privileges for non-shard %v(%s): %w", target, d.Name, xtypes.ErrNotShard)
+		return h.deny(fmt.Errorf("hv: privileges for non-shard %v(%s): %w", target, d.Name, xtypes.ErrNotShard))
 	}
 	for _, addr := range a.PCIDevices {
 		if err := h.Machine.Bus.Assign(addr, target); err != nil {
@@ -68,20 +67,12 @@ func (h *Hypervisor) AssignPrivileges(caller, target xtypes.DomID, a Assignment)
 // Delegate grants admin rights over shard to grantee at runtime; the caller
 // must itself control the shard. Requires HyperDelegateAdmin.
 func (h *Hypervisor) Delegate(caller, shard, grantee xtypes.DomID) error {
-	if _, err := h.check(caller, xtypes.HyperDelegateAdmin); err != nil {
-		return err
-	}
-	d, err := h.Domain(shard)
+	d, err := h.controlled(caller, shard, xtypes.HyperDelegateAdmin, "delegate")
 	if err != nil {
 		return err
 	}
-	if !h.controls(caller, d) {
-		h.DeniedCalls++
-		return fmt.Errorf("hv: delegate %v by %v: %w", shard, caller, xtypes.ErrPerm)
-	}
 	if !d.Cfg.Shard {
-		h.DeniedCalls++
-		return fmt.Errorf("hv: delegate non-shard %v: %w", shard, xtypes.ErrNotShard)
+		return h.deny(fmt.Errorf("hv: delegate non-shard %v: %w", shard, xtypes.ErrNotShard))
 	}
 	d.delegates[grantee] = true
 	h.emit("delegate", shard, grantee.String())
@@ -128,28 +119,9 @@ func (h *Hypervisor) SetPrivilegedFor(caller, vm, target xtypes.DomID) error {
 // then permits grant/evtchn setup between the pair. A toolstack can only use
 // shards delegated to it (§5.6).
 func (h *Hypervisor) LinkShardClient(caller, shard, guest xtypes.DomID) error {
-	d, err := h.Domain(shard)
+	d, err := h.linkRights(caller, shard, guest, false)
 	if err != nil {
 		return err
-	}
-	if h.EnforceShardIVC && !d.Cfg.Shard {
-		h.DeniedCalls++
-		return fmt.Errorf("hv: link client to non-shard %v: %w", shard, xtypes.ErrNotShard)
-	}
-	// A shard may not curate its own client list: controls() counts every
-	// domain as controlling itself, but link rights belong to an external
-	// controller (the parent toolstack, or a delegate). Without this check a
-	// compromised shard could link any guest to itself and then pass the IVC
-	// policy for grant/evtchn setup against that guest — found by the
-	// hypercall-sequence fuzzer. Only meaningful under the Xoar IVC policy:
-	// monolithic Dom0 is both toolstack and backend and links to itself.
-	if h.EnforceShardIVC && caller == shard && caller != SystemCaller {
-		h.DeniedCalls++
-		return fmt.Errorf("hv: link %v->%v by the shard itself: %w", guest, shard, xtypes.ErrPerm)
-	}
-	if !h.controls(caller, d) {
-		h.DeniedCalls++
-		return fmt.Errorf("hv: link %v->%v by %v: %w", guest, shard, caller, xtypes.ErrNotDelegated)
 	}
 	d.clients[guest] = true
 	h.emit("link-shard", shard, guest.String())
@@ -158,29 +130,9 @@ func (h *Hypervisor) LinkShardClient(caller, shard, guest xtypes.DomID) error {
 
 // UnlinkShardClient revokes a client link.
 func (h *Hypervisor) UnlinkShardClient(caller, shard, guest xtypes.DomID) error {
-	d, err := h.Domain(shard)
+	d, err := h.linkRights(caller, shard, guest, true)
 	if err != nil {
 		return err
-	}
-	// Mirror LinkShardClient's shard requirement: unlinking a non-shard is
-	// meaningless, but it used to succeed as a no-op and emit a bogus
-	// unlink-shard audit record against a plain guest — noise that corrupts
-	// DependentsOf interval bookkeeping (found by the hypercall-sequence
-	// fuzzer).
-	if h.EnforceShardIVC && !d.Cfg.Shard {
-		h.DeniedCalls++
-		return fmt.Errorf("hv: unlink client from non-shard %v: %w", shard, xtypes.ErrNotShard)
-	}
-	// Same self-control exclusion as LinkShardClient: a compromised shard
-	// unlinking its own clients would close their audit exposure windows,
-	// hiding the compromise interval from DependentsOf.
-	if h.EnforceShardIVC && caller == shard && caller != SystemCaller {
-		h.DeniedCalls++
-		return fmt.Errorf("hv: unlink %v->%v by the shard itself: %w", guest, shard, xtypes.ErrPerm)
-	}
-	if !h.controls(caller, d) {
-		h.DeniedCalls++
-		return fmt.Errorf("hv: unlink %v->%v by %v: %w", guest, shard, caller, xtypes.ErrPerm)
 	}
 	delete(d.clients, guest)
 	// The log's interval index keys on this record to close the guest's
@@ -188,6 +140,44 @@ func (h *Hypervisor) UnlinkShardClient(caller, shard, guest xtypes.DomID) error 
 	// clients as dependents forever.
 	h.emit("unlink-shard", shard, guest.String())
 	return nil
+}
+
+// linkRights is the audit LinkShardClient and UnlinkShardClient share: it
+// returns the shard when caller may edit its client list. The two differ
+// only in wording and in the sentinel for a caller that does not control
+// the shard (ErrNotDelegated for link, ErrPerm for unlink).
+func (h *Hypervisor) linkRights(caller, shard, guest xtypes.DomID, unlink bool) (*Domain, error) {
+	op, prep, notCtl := "link", "to", xtypes.ErrNotDelegated
+	if unlink {
+		op, prep, notCtl = "unlink", "from", xtypes.ErrPerm
+	}
+	d, err := h.Domain(shard)
+	if err != nil {
+		return nil, err
+	}
+	// Unlinking a non-shard used to succeed as a no-op and emit a bogus
+	// unlink-shard audit record against a plain guest — noise that corrupts
+	// DependentsOf interval bookkeeping (found by the hypercall-sequence
+	// fuzzer).
+	if h.EnforceShardIVC && !d.Cfg.Shard {
+		return nil, h.deny(fmt.Errorf("hv: %s client %s non-shard %v: %w", op, prep, shard, xtypes.ErrNotShard))
+	}
+	// A shard may not curate its own client list: controls() counts every
+	// domain as controlling itself, but link rights belong to an external
+	// controller (the parent toolstack, or a delegate). Without this check a
+	// compromised shard could link any guest to itself and then pass the IVC
+	// policy for grant/evtchn setup against that guest, or unlink its own
+	// clients to close their audit exposure windows and hide the compromise
+	// interval from DependentsOf — found by the hypercall-sequence fuzzer.
+	// Only meaningful under the Xoar IVC policy: monolithic Dom0 is both
+	// toolstack and backend and links to itself.
+	if h.EnforceShardIVC && caller == shard && caller != SystemCaller {
+		return nil, h.deny(fmt.Errorf("hv: %s %v->%v by the shard itself: %w", op, guest, shard, xtypes.ErrPerm))
+	}
+	if !h.controls(caller, d) {
+		return nil, h.deny(fmt.Errorf("hv: %s %v->%v by %v: %w", op, guest, shard, caller, notCtl))
+	}
+	return d, nil
 }
 
 // ivcAllowed applies the Xoar sharing policy to an IVC pair (§5.6):
@@ -219,11 +209,9 @@ func (h *Hypervisor) ivcAllowed(a, b xtypes.DomID) error {
 		// Guest↔guest probes are denials too: leaving them uncounted let an
 		// adversarial guest sweep the IVC surface without a trace in the
 		// denial counter (found by the hypercall-sequence fuzzer).
-		h.DeniedCalls++
-		return fmt.Errorf("hv: ivc %v<->%v between non-shards: %w", a, b, xtypes.ErrNotShard)
+		return h.deny(fmt.Errorf("hv: ivc %v<->%v between non-shards: %w", a, b, xtypes.ErrNotShard))
 	}
-	h.DeniedCalls++
-	return fmt.Errorf("hv: ivc %v<->%v: %w", a, b, xtypes.ErrNotDelegated)
+	return h.deny(fmt.Errorf("hv: ivc %v<->%v: %w", a, b, xtypes.ErrNotDelegated))
 }
 
 // RevokeHypercall removes a previously permitted hypercall from target's
@@ -233,16 +221,9 @@ func (h *Hypervisor) ivcAllowed(a, b xtypes.DomID) error {
 // wins over the manifest: the whitelist consulted at dispatch time is the
 // domain's live privilege set, not the generated artifact.
 func (h *Hypervisor) RevokeHypercall(caller, target xtypes.DomID, hc xtypes.Hypercall) error {
-	if _, err := h.check(caller, xtypes.HyperDomctlPriv); err != nil {
-		return err
-	}
-	d, err := h.Domain(target)
+	d, err := h.controlled(caller, target, xtypes.HyperDomctlPriv, "revoke "+hc.String()+" from")
 	if err != nil {
 		return err
-	}
-	if !h.controls(caller, d) {
-		h.DeniedCalls++
-		return fmt.Errorf("hv: revoke %v from %v by %v: %w", hc, target, caller, xtypes.ErrPerm)
 	}
 	delete(d.priv.Hypercalls, hc)
 	h.emit("revoke-hypercall", target, hc.String())
@@ -251,7 +232,6 @@ func (h *Hypervisor) RevokeHypercall(caller, target xtypes.DomID, hc xtypes.Hype
 
 // --- guarded grant operations ---------------------------------------------
 
-// Grant exports one of caller's pages to grantee, subject to the IVC policy.
 // countDenied mirrors a subsystem's object-level refusal (mapping someone
 // else's grant ref, binding a port reserved for another domain) into the
 // hypervisor's denial counter. Before this, such probes were invisible to
@@ -259,12 +239,13 @@ func (h *Hypervisor) RevokeHypercall(caller, target xtypes.DomID, hc xtypes.Hype
 // space without a trace in the denial metric (found by the
 // hypercall-sequence fuzzer).
 func (h *Hypervisor) countDenied(err error) error {
-	if err != nil && errors.Is(err, xtypes.ErrPerm) {
-		h.DeniedCalls++
+	if errors.Is(err, xtypes.ErrPerm) {
+		return h.deny(err)
 	}
 	return err
 }
 
+// Grant exports one of caller's pages to grantee, subject to the IVC policy.
 func (h *Hypervisor) Grant(caller, grantee xtypes.DomID, pfn xtypes.PFN, readOnly bool) (xtypes.GrantRef, error) {
 	if _, err := h.check(caller, xtypes.HyperGrantTableOp); err != nil {
 		return xtypes.GrantRefInvalid, err
@@ -365,16 +346,8 @@ func (h *Hypervisor) EvtchnNotify(caller xtypes.DomID, port xtypes.Port) error {
 // Dom0-style path; it requires HyperMapForeign plus control over the target.
 // Deprivileged components use grants instead.
 func (h *Hypervisor) MapForeign(caller, target xtypes.DomID, pfn xtypes.PFN) error {
-	if _, err := h.check(caller, xtypes.HyperMapForeign); err != nil {
+	if _, err := h.controlled(caller, target, xtypes.HyperMapForeign, "map foreign"); err != nil {
 		return err
-	}
-	d, err := h.Domain(target)
-	if err != nil {
-		return err
-	}
-	if !h.controls(caller, d) {
-		h.DeniedCalls++
-		return fmt.Errorf("hv: map foreign %v by %v: %w", target, caller, xtypes.ErrPerm)
 	}
 	return h.MM.MapForeign(caller, target, pfn)
 }
@@ -420,16 +393,9 @@ func (h *Hypervisor) InjectHardwareVIRQ(virq xtypes.VIRQ) {
 // GrantIOPorts gives target access to a named I/O-port range. Requires
 // HyperIOPortAccess and control over target.
 func (h *Hypervisor) GrantIOPorts(caller, target xtypes.DomID, rangeName string) error {
-	if _, err := h.check(caller, xtypes.HyperIOPortAccess); err != nil {
-		return err
-	}
-	d, err := h.Domain(target)
+	d, err := h.controlled(caller, target, xtypes.HyperIOPortAccess, fmt.Sprintf("ioports %q to", rangeName))
 	if err != nil {
 		return err
-	}
-	if !h.controls(caller, d) {
-		h.DeniedCalls++
-		return fmt.Errorf("hv: ioports %q to %v by %v: %w", rangeName, target, caller, xtypes.ErrPerm)
 	}
 	d.ioPorts[rangeName] = true
 	h.emit("grant-ioports", target, rangeName)
@@ -464,8 +430,7 @@ func (h *Hypervisor) VMSnapshot(caller xtypes.DomID) error {
 	// corrupted image, after which every microreboot faithfully restores
 	// the compromise — found by the hypercall-sequence fuzzer.
 	if d.Mem.Snapshot() != nil {
-		h.DeniedCalls++
-		return fmt.Errorf("hv: re-snapshot of %v(%s): %w", caller, d.Name, xtypes.ErrPerm)
+		return h.deny(fmt.Errorf("hv: re-snapshot of %v(%s): %w", caller, d.Name, xtypes.ErrPerm))
 	}
 	d.Mem.TakeSnapshot()
 	h.emit("snapshot", caller, fmt.Sprintf("%d pages", d.Mem.Snapshot().Pages()))
@@ -475,16 +440,9 @@ func (h *Hypervisor) VMSnapshot(caller xtypes.DomID) error {
 // VMRollback rolls target back to its snapshot, returning the number of
 // restored pages. Requires HyperVMRollback and control over target.
 func (h *Hypervisor) VMRollback(caller, target xtypes.DomID) (int, error) {
-	if _, err := h.check(caller, xtypes.HyperVMRollback); err != nil {
-		return 0, err
-	}
-	d, err := h.Domain(target)
+	d, err := h.controlled(caller, target, xtypes.HyperVMRollback, "rollback")
 	if err != nil {
 		return 0, err
-	}
-	if !h.controls(caller, d) {
-		h.DeniedCalls++
-		return 0, fmt.Errorf("hv: rollback %v by %v: %w", target, caller, xtypes.ErrPerm)
 	}
 	if err := h.injectFault("vm_rollback", caller, target); err != nil {
 		return 0, fmt.Errorf("hv: rollback %v: %w", target, err)

@@ -260,39 +260,43 @@ func (b *Backend) Serving() bool { return !b.serving.Closed() }
 // AcceptConnection completes the backend half of the split-driver handshake
 // for guest: map the granted ring pages of every queue, bind the event
 // channels, mark the vif connected, and start the pumps. Called from the
-// backend's event loop when the frontend's XenStore entries appear.
+// backend's event loop when the frontend's XenStore entries appear. A
+// handshake that fails part-way unmaps every ring page it mapped.
 func (b *Backend) AcceptConnection(p *sim.Proc, guest xtypes.DomID) error {
 	v, ok := b.vifs[guest]
 	if !ok {
 		return fmt.Errorf("netback: no vif for %v: %w", guest, xtypes.ErrNotFound)
 	}
+	var mapped []*hv.GrantMapping
+	fail := func(err error) error {
+		for _, m := range mapped {
+			m.Unmap()
+		}
+		return err
+	}
 	for _, q := range v.queues {
 		// Read the frontend's advertised ring grants and event channel.
 		refStr, err := b.XS.Read(xenstore.TxNone, queueRefPath(guest, q.id))
 		if err != nil {
-			return err
+			return fail(err)
 		}
 		var rxRef, txRef xtypes.GrantRef
 		var port xtypes.Port
 		if _, err := fmt.Sscanf(refStr, "%d/%d/%d", &rxRef, &txRef, &port); err != nil {
-			return fmt.Errorf("netback: bad ring-ref %q: %w", refStr, xtypes.ErrInvalid)
+			return fail(fmt.Errorf("netback: bad ring-ref %q: %w", refStr, xtypes.ErrInvalid))
 		}
 		// Map the ring pages through the grant mechanism: this is where the
 		// IVC policy bites if the guest was never linked to this shard.
-		rxMap, err := b.H.MapGrant(b.Dom, guest, rxRef, true)
-		if err != nil {
-			return err
-		}
-		txMap, err := b.H.MapGrant(b.Dom, guest, txRef, true)
-		if err != nil {
-			rxMap.Unmap()
-			return err
+		for _, ref := range []xtypes.GrantRef{rxRef, txRef} {
+			m, err := b.H.MapGrant(b.Dom, guest, ref, true)
+			if err != nil {
+				return fail(err)
+			}
+			mapped = append(mapped, m)
 		}
 		backPort, err := b.H.EvtchnBind(b.Dom, guest, port)
 		if err != nil {
-			rxMap.Unmap()
-			txMap.Unmap()
-			return err
+			return fail(err)
 		}
 		q.rxRef, q.txRef, q.backPort = rxRef, txRef, backPort
 	}

@@ -2,7 +2,9 @@ package netdrv
 
 import (
 	"errors"
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"xoar/internal/hv"
@@ -487,5 +489,33 @@ func TestTxBatchingAmortizesNotifies(t *testing.T) {
 	baseDescs, baseNotifies := run(true)
 	if baseDescs != baseNotifies {
 		t.Fatalf("ablated run: %d descs vs %d notifies, want 1:1", baseDescs, baseNotifies)
+	}
+}
+
+// A handshake that fails on a later queue unmaps the ring pages of every
+// queue it already mapped, not just the failing one.
+func TestFailedHandshakeUnmapsEveryRing(t *testing.T) {
+	hn := newHarness(t, true)
+	var err error
+	hn.env.Spawn("boot", func(p *sim.Proc) {
+		hn.back.Start(p)
+		hn.back.CreateVifQueues(hn.guest.ID, 2)
+		if err = hn.front.advertise(hn.back); err != nil {
+			return
+		}
+		// Point queue 1 at an event channel the guest never allocated.
+		path := queueRefPath(hn.guest.ID, 1)
+		var rx, tx, port int
+		adv, _ := hn.front.XS.Read(xenstore.TxNone, path)
+		fmt.Sscanf(adv, "%d/%d/%d", &rx, &tx, &port)
+		hn.front.XS.Write(xenstore.TxNone, path, fmt.Sprintf("%d/%d/%d", rx, tx, 4000))
+		err = hn.back.AcceptConnection(p, hn.guest.ID)
+	})
+	hn.env.RunFor(10 * sim.Second)
+	if err == nil {
+		t.Fatal("handshake with a bad port succeeded")
+	}
+	if slices.Contains(hn.h.MM.MappersOf(hn.guest.ID), hn.nb.ID) {
+		t.Fatalf("netback still maps the guest after a failed handshake: %v", hn.h.MM.MappersOf(hn.guest.ID))
 	}
 }

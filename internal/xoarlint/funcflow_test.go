@@ -114,9 +114,12 @@ func (h *Hypervisor) MethodValueStored(caller, port xtypes.DomID) error {
 }
 
 // Audit-log wiring: calls through the func-typed Sink field are external
-// subscriber code, not hv state mutation — no audit demanded.
-func (h *Hypervisor) Notify(caller xtypes.DomID) {
+// subscriber code, not hv state mutation — an emit ahead of the audit is
+// no dominance violation.
+func (h *Hypervisor) Notify(caller xtypes.DomID) error {
 	h.emit("notify", caller)
+	_, err := h.check(caller, xtypes.HyperEvtchnOp)
+	return err
 }
 
 // A bare method value stored into an OnDestroy-style slice: reap runs

@@ -9,12 +9,23 @@ import (
 	"strings"
 )
 
-// privflow is the flow-sensitive successor to privcheck. Where privcheck
-// asks "does the method contain an audit call somewhere?", privflow asks the
-// question the §6.2 CVE study actually poses: does an *enforced* audit
-// dominate every mutation of hypervisor state reachable from the entry
-// point? An audit placed after the mutation, on only one branch, or whose
-// error is dropped on the floor passes privcheck and fails privflow.
+// privflow enforces the paper's core mechanism (§3, §5.6): every hypercall
+// entry point audits its caller. An entry point is an exported
+// *hv.Hypervisor method that takes a domain ID; privflow asks the question
+// the §6.2 CVE study poses — does an *enforced* audit dominate every
+// mutation of hypervisor state reachable from the entry point? An audit
+// placed after the mutation, on only one branch, or whose error is dropped
+// on the floor is reported, and so is an entry point that never audits its
+// caller at all, even when it mutates nothing the walk models. That last
+// rule is the "forgotten audit" bug class itself: the two violations it
+// found on day one (UnmapForeign and RegisterRecoveryBox shipping without
+// any check) are fixed in this tree and regression-tested in
+// internal/seceval.
+//
+// Refusals are counted in one place: a write to Hypervisor.DeniedCalls
+// anywhere in hv but h.deny is reported, so "each refusal is counted
+// exactly once" stays structural instead of a convention repeated at every
+// refusal site.
 //
 // The analysis is interprocedural over the *Hypervisor method graph: helper
 // calls are inlined under the caller's fact set (so a mutation buried in
@@ -67,7 +78,7 @@ import (
 func init() {
 	Register(&Analyzer{
 		Name: "privflow",
-		Doc:  "every hv state mutation must be dominated by an enforced h.check/h.controls audit on the caller (flow-sensitive, interprocedural)",
+		Doc:  "every hv entry point must audit its caller, and every hv state mutation must be dominated by that enforced h.check/h.controls audit (flow-sensitive, interprocedural); only h.deny counts refusals",
 		Run:  runPrivflow,
 	})
 }
@@ -81,10 +92,36 @@ func runPrivflow(p *Package) []Diagnostic {
 const hvPath = "xoar/internal/hv"
 
 // exemptCounterFields are *Hypervisor fields that exist purely for
-// experiment accounting; h.check itself bumps them before any verdict.
+// experiment accounting: writing them is not a privileged mutation. h.check
+// bumps HypercallCount before any verdict; DeniedCalls may only be written
+// by denyMethod (see denialWrites).
 var exemptCounterFields = map[string]bool{
 	"HypercallCount": true,
 	"DeniedCalls":    true,
+}
+
+// denyMethod is the one *Hypervisor method allowed to write DeniedCalls.
+const denyMethod = "deny"
+
+// privflowAllowed are exported *Hypervisor methods that legitimately skip
+// the audit helpers; each carries its rationale into the privilege matrix.
+var privflowAllowed = map[string]string{
+	// Read-only queries: they reveal only what the caller could observe
+	// through its own hypercall results and mutate nothing.
+	"Domain":     "lookup; read-only",
+	"Domains":    "enumeration; read-only",
+	"VIRQRoute":  "route query; read-only",
+	"HasIOPorts": "port-range query; read-only",
+	// InjectHardwareVIRQ models the hardware interrupt source itself, not a
+	// domain-issued hypercall; it has no caller to audit.
+	"InjectHardwareVIRQ": "hardware source, no caller",
+	// Compute charges simulated CPU time; scheduling one's own work is the
+	// unprivileged baseline of any guest.
+	"Compute": "CPU accounting; unprivileged by design",
+	// SelfExit is the §5.8 hypervisor modification that lets boot-time
+	// components (Bootstrapper, PCIBack) destroy themselves: voluntary exit
+	// is deliberately unprivileged and only ever targets the caller.
+	"SelfExit": "voluntary exit; unprivileged by design (§5.8)",
 }
 
 // hvStateObjects are *Hypervisor fields holding privileged machine state;
@@ -157,13 +194,13 @@ func hypervisorMethods(p *Package) map[string]*hvMethod {
 
 // privflowPackage analyzes every hypercall entry point of the hv package,
 // returning the diagnostics and the privilege-matrix rows. Entry points are
-// exported *Hypervisor methods taking at least one caller DomID; the
-// privcheck allowlist (read-only queries, deliberately unprivileged
-// operations) carries over with its rationales.
+// exported *Hypervisor methods taking at least one caller DomID, except the
+// allowlisted read-only queries and deliberately unprivileged operations.
 func privflowPackage(p *Package) ([]Diagnostic, []PrivEntry) {
 	if p.Path != hvPath {
 		return nil, nil
 	}
+	diags := denialWrites(p)
 	methods := hypervisorMethods(p)
 	var names []string
 	for name, m := range methods {
@@ -172,10 +209,9 @@ func privflowPackage(p *Package) ([]Diagnostic, []PrivEntry) {
 		}
 	}
 	sort.Strings(names)
-	var diags []Diagnostic
 	var entries []PrivEntry
 	for _, name := range names {
-		if why, ok := privcheckAllowed[name]; ok {
+		if why, ok := privflowAllowed[name]; ok {
 			entries = append(entries, PrivEntry{Method: name, Exempt: why})
 			continue
 		}
@@ -193,6 +229,13 @@ func privflowPackage(p *Package) ([]Diagnostic, []PrivEntry) {
 			fr.binding[pn] = true
 		}
 		c.stmts(fr, newFlowState(), m.fn.Body.List)
+		// The never-audits floor; an entry point already reported (an
+		// undominated mutation, a dynamic privilege) gets no second finding.
+		if len(c.privs) == 0 && !c.controls && len(c.diags) == 0 {
+			c.report(m.fn.Name.Pos(), fmt.Sprintf(
+				"hv.%s takes a caller DomID but never audits it with %s.check or %s.controls",
+				name, m.recv, m.recv))
+		}
 		diags = append(diags, c.diags...)
 		entries = append(entries, PrivEntry{
 			Method:     name,
@@ -202,6 +245,50 @@ func privflowPackage(p *Package) ([]Diagnostic, []PrivEntry) {
 		})
 	}
 	return diags, entries
+}
+
+// denialWrites reports every write to Hypervisor.DeniedCalls outside
+// denyMethod. The scan is syntactic over the whole package, so it also
+// covers code the entry-point walk never reaches (h.check itself).
+func denialWrites(p *Package) []Diagnostic {
+	var diags []Diagnostic
+	for _, f := range p.Files {
+		if p.Test[f] {
+			continue
+		}
+		for _, decl := range f.Decls {
+			fn, ok := decl.(*ast.FuncDecl)
+			if !ok || fn.Body == nil {
+				continue
+			}
+			if fn.Name.Name == denyMethod && fn.Recv != nil && receiverName(p, fn, "Hypervisor") != "" {
+				continue // the one sanctioned writer
+			}
+			ast.Inspect(fn.Body, func(n ast.Node) bool {
+				var lhs []ast.Expr
+				switch v := n.(type) {
+				case *ast.AssignStmt:
+					lhs = v.Lhs
+				case *ast.IncDecStmt:
+					lhs = []ast.Expr{v.X}
+				}
+				for _, l := range lhs {
+					sel, ok := l.(*ast.SelectorExpr)
+					if !ok || sel.Sel.Name != "DeniedCalls" {
+						continue
+					}
+					if n := namedOf(p.Info.TypeOf(sel.X)); n == nil || n.Obj().Name() != "Hypervisor" {
+						continue
+					}
+					diags = append(diags, Diagnostic{Pos: p.Fset.Position(sel.Pos()), Analyzer: "privflow",
+						Message: fmt.Sprintf("%s writes DeniedCalls directly; refuse through h.%s so each refusal is counted exactly once",
+							fn.Name.Name, denyMethod)})
+				}
+				return true
+			})
+		}
+	}
+	return diags
 }
 
 // fact is one established audit: past this program point the caller has
@@ -1136,6 +1223,44 @@ func flattenChain(e ast.Expr) ([]string, bool) {
 			return nil, false
 		}
 	}
+}
+
+// receiverName returns the receiver identifier of a method on *typeName (or
+// typeName), or "" if the receiver is a different type or anonymous.
+func receiverName(p *Package, fn *ast.FuncDecl, typeName string) string {
+	recv := p.Info.Defs[fn.Name].Type().(*types.Signature).Recv()
+	if n := namedOf(recv.Type()); n == nil || n.Obj().Name() != typeName {
+		return ""
+	}
+	return recv.Name()
+}
+
+// domIDFields returns the names of the parameters in params typed
+// xtypes.DomID.
+func domIDFields(p *Package, params *ast.FieldList) map[string]bool {
+	out := map[string]bool{}
+	if params == nil {
+		return out
+	}
+	for _, field := range params.List {
+		if !isNamed(p.Info.TypeOf(field.Type), xtypesPath, "DomID") {
+			continue
+		}
+		for _, n := range field.Names {
+			out[n.Name] = true
+		}
+	}
+	return out
+}
+
+// isNamed reports whether t is the defined type path.name.
+func isNamed(t types.Type, path, name string) bool {
+	n, ok := types.Unalias(t).(*types.Named)
+	if !ok {
+		return false
+	}
+	obj := n.Obj()
+	return obj.Name() == name && obj.Pkg() != nil && obj.Pkg().Path() == path
 }
 
 func sortedKeys(m map[string]bool) []string {

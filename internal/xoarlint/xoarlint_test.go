@@ -56,75 +56,6 @@ func wantDiags(t *testing.T, diags []Diagnostic, substrs ...string) {
 	}
 }
 
-// --- privcheck ---------------------------------------------------------------
-
-const privcheckSrc = `package hv
-
-import "xoar/internal/xtypes"
-
-type Hypervisor struct{ DeniedCalls int }
-
-func (h *Hypervisor) check(caller xtypes.DomID, hc xtypes.Hypercall) (*int, error) { return nil, nil }
-func (h *Hypervisor) controls(caller xtypes.DomID, d *int) bool                    { return true }
-
-// Audited: fine.
-func (h *Hypervisor) Destroy(caller, target xtypes.DomID) error {
-	if _, err := h.check(caller, 0); err != nil {
-		return err
-	}
-	return nil
-}
-
-// Audited via controls: fine.
-func (h *Hypervisor) Link(caller, shard xtypes.DomID) error {
-	if !h.controls(caller, nil) {
-		return nil
-	}
-	return nil
-}
-
-// Forgotten audit: flagged.
-func (h *Hypervisor) UnmapEverything(caller, target xtypes.DomID) error {
-	return nil
-}
-
-// check called on a constant, not the caller parameter: still flagged.
-func (h *Hypervisor) Sneaky(caller xtypes.DomID) error {
-	_, err := h.check(0, 0)
-	return err
-}
-
-// Unexported: out of scope.
-func (h *Hypervisor) internalOp(caller xtypes.DomID) {}
-
-// No DomID parameter: out of scope.
-func (h *Hypervisor) Stats() int { return h.DeniedCalls }
-
-// Allowlisted read-only query.
-func (h *Hypervisor) HasIOPorts(dom xtypes.DomID, r string) bool { return false }
-`
-
-func TestPrivcheckFlagsForgottenAudit(t *testing.T) {
-	p := loadSrc(t, "xoar/internal/hv", privcheckSrc)
-	diags := diagsOf(t, "privcheck", p)
-	wantDiags(t, diags, "hv.UnmapEverything", "hv.Sneaky")
-}
-
-func TestPrivcheckScopedToHV(t *testing.T) {
-	p := loadSrc(t, "xoar/internal/other", privcheckSrc)
-	if diags := diagsOf(t, "privcheck", p); len(diags) != 0 {
-		t.Fatalf("privcheck fired outside internal/hv: %v", diags)
-	}
-}
-
-func TestPrivcheckSuppression(t *testing.T) {
-	src := strings.Replace(privcheckSrc,
-		"// Forgotten audit: flagged.",
-		"//xoarlint:allow(privcheck) verified audited by dispatcher in review", 1)
-	p := loadSrc(t, "xoar/internal/hv", src)
-	wantDiags(t, diagsOf(t, "privcheck", p), "hv.Sneaky")
-}
-
 // --- simtime -----------------------------------------------------------------
 
 const simtimeSrc = `package netdrv
@@ -313,7 +244,7 @@ func TestSuppressionRejectsUnknownAnalyzer(t *testing.T) {
 
 func TestRegisteredAnalyzers(t *testing.T) {
 	want := map[string]bool{
-		"privcheck": true, "simtime": true, "layering": true, "errwrap": true,
+		"simtime": true, "layering": true, "errwrap": true,
 		"gohygiene": true, "privflow": true, "auditlog": true, "metricnames": true,
 		"hotpath": true,
 	}
