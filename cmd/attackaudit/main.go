@@ -14,6 +14,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"xoar"
@@ -79,10 +80,7 @@ func main() {
 			fmt.Printf("  %-8s %-18s %-17s -> %-18s%s\n",
 				f.Vuln.ID, f.Vuln.Vector, f.Vuln.Class, f.Outcome, extra)
 		}
-		fmt.Println("\nsummary:")
-		for o, n := range rep.ByOutcome {
-			fmt.Printf("  %-20s %d\n", o, n)
-		}
+		writeSummary(os.Stdout, rep)
 
 		// Dynamic capability probes: assume each control component is fully
 		// compromised and actually attempt hostile operations.
@@ -130,6 +128,14 @@ func main() {
 	}
 	fmt.Printf("total studied: %d; guest-sourced: %d; admin-network: %d; host-os (excluded): %d\n",
 		len(seceval.Registry()), bySrc[seceval.SrcGuest], bySrc[seceval.SrcAdminNet], bySrc[seceval.SrcHost])
+}
+
+// writeSummary prints the containment tally in Outcome order.
+func writeSummary(w io.Writer, rep seceval.Report) {
+	fmt.Fprintln(w, "\nsummary:")
+	for _, o := range rep.Outcomes() {
+		fmt.Fprintf(w, "  %-20s %d\n", o, rep.ByOutcome[o])
+	}
 }
 
 // runFuzz is the CLI face of the seeded generator: the same sequences the

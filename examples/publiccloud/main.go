@@ -74,7 +74,7 @@ func main() {
 	// And what would each registry CVE have yielded the attacker?
 	rep := pl.SecurityReport(a1.Dom)
 	fmt.Println("containment summary for a compromise originating in", a1.Dom, ":")
-	for outcome, n := range rep.ByOutcome {
-		fmt.Printf("  %-20v %d CVEs\n", outcome, n)
+	for _, outcome := range rep.Outcomes() {
+		fmt.Printf("  %-20v %d CVEs\n", outcome, rep.ByOutcome[outcome])
 	}
 }

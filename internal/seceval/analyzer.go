@@ -226,6 +226,17 @@ func (a *Analyzer) Run() Report {
 	return rep
 }
 
+// Outcomes returns the outcomes present in ByOutcome in ascending order, so
+// a printed tally reads the same on every run.
+func (r Report) Outcomes() []Outcome {
+	out := make([]Outcome, 0, len(r.ByOutcome))
+	for o := range r.ByOutcome {
+		out = append(out, o)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	return out
+}
+
 // --- TCB accounting (§6.2) ---------------------------------------------------
 
 // TCBReport sums the code trusted with guest-memory access.
