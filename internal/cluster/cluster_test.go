@@ -178,7 +178,7 @@ func TestRebalanceMovesGuestOffHotHost(t *testing.T) {
 		t.Fatalf("setup: host0 has %d guests", c.Hosts[0].GuestCount())
 	}
 	run(t, c, "rebalance", func(p *sim.Proc) {
-		moved, err := c.RebalanceOnce(p, 512)
+		moved, err := c.RebalanceOnce(p)
 		if err != nil {
 			t.Errorf("rebalance: %v", err)
 		}
@@ -230,7 +230,7 @@ func TestBalancedFleetDoesNotThrash(t *testing.T) {
 		}
 	})
 	run(t, c, "rebalance", func(p *sim.Proc) {
-		moved, err := c.RebalanceOnce(p, 512)
+		moved, err := c.RebalanceOnce(p)
 		if err != nil {
 			t.Errorf("rebalance: %v", err)
 		}
@@ -240,60 +240,5 @@ func TestBalancedFleetDoesNotThrash(t *testing.T) {
 	})
 	if c.Migrations != 0 {
 		t.Fatalf("migrations = %d", c.Migrations)
-	}
-}
-
-func TestRestartStormRespectsFleetCap(t *testing.T) {
-	c, err := New(Config{Hosts: 2, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 2 hosts x (netback + blkback) = 4 backends; a 30% cap rounds down to
-	// a single restart slot fleet-wide.
-	g := c.StartMicroreboots(StormConfig{Interval: 100 * sim.Millisecond, MaxDownFraction: 0.3})
-	if g.Backends != 4 {
-		t.Fatalf("backends = %d, want 4", g.Backends)
-	}
-	if g.Slots != 1 {
-		t.Fatalf("slots = %d, want 1", g.Slots)
-	}
-	c.Env.RunFor(5 * sim.Second)
-	g.Stop()
-	if g.Restarts < 10 {
-		t.Fatalf("restarts = %d, storm never ran", g.Restarts)
-	}
-	if g.MaxInflight > g.Slots {
-		t.Fatalf("max inflight %d exceeded cap %d", g.MaxInflight, g.Slots)
-	}
-	// Every backend kept restarting — the cap throttles, it must not starve.
-	for _, h := range c.Hosts {
-		for _, nb := range h.PL.NetBacks {
-			st, ok := h.PL.Engine.Stats(nb.AsRestartable().Dom())
-			if !ok || st.Restarts == 0 {
-				t.Fatalf("%s netback never restarted", h.Name)
-			}
-			if st.Errors != 0 {
-				t.Fatalf("%s netback restart errors: %d", h.Name, st.Errors)
-			}
-		}
-	}
-}
-
-func TestStormGuardAllowsWiderCap(t *testing.T) {
-	c, err := New(Config{Hosts: 2, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := c.StartMicroreboots(StormConfig{Interval: 50 * sim.Millisecond, MaxDownFraction: 0.5})
-	if g.Slots != 2 {
-		t.Fatalf("slots = %d, want 2", g.Slots)
-	}
-	c.Env.RunFor(5 * sim.Second)
-	g.Stop()
-	if g.MaxInflight > 2 {
-		t.Fatalf("max inflight %d exceeded cap 2", g.MaxInflight)
-	}
-	if g.MaxInflight < 2 {
-		t.Fatalf("max inflight %d: a 50ms period over 4 backends should overlap", g.MaxInflight)
 	}
 }

@@ -1,13 +1,13 @@
 package cluster
 
 import (
-	"fmt"
-
-	"xoar/internal/migrate"
 	"xoar/internal/sim"
 	"xoar/internal/telemetry"
-	"xoar/internal/toolstack"
 )
+
+// minGapMB is the free-memory gap between the fullest and emptiest hosts
+// that makes RebalanceOnce migrate.
+const minGapMB = 512
 
 // RebalanceOnce scans the fleet and, if the fullest and emptiest hosts differ
 // by at least minGapMB of free memory, live-migrates one guest from the hot
@@ -16,10 +16,7 @@ import (
 // Victim selection is the lowest DomID on the hot host that fits the cold
 // host — deterministic, and biased toward long-lived guests (low IDs), which
 // amortize the migration cost over more remaining lifetime.
-func (c *Cluster) RebalanceOnce(p *sim.Proc, minGapMB int) (bool, error) {
-	if minGapMB <= 0 {
-		minGapMB = 512
-	}
+func (c *Cluster) RebalanceOnce(p *sim.Proc) (bool, error) {
 	hot, cold := -1, -1
 	for i, h := range c.Hosts {
 		if hot < 0 || h.FreeMB() < c.Hosts[hot].FreeMB() {
@@ -48,45 +45,31 @@ func (c *Cluster) RebalanceOnce(p *sim.Proc, minGapMB int) (bool, error) {
 	return true, c.migrateGuest(p, victim, dst)
 }
 
-// migrateGuest moves g to dst with the standard orchestration: the source
-// toolstack drives the pre-copy, the destination Builder constructs the
-// receiving shell, and the destination toolstack adopts the result. The
-// guest record is updated in place so the caller's destroy closure follows
-// the guest to its new host.
+// migrateGuest moves g to dst through the source toolstack's MigrateTo and
+// keeps the scheduler's ledger around it: dst's memory is reserved before
+// the pre-copy starts, and the guest record is updated in place so the
+// caller's destroy closure follows the guest to its new host.
 func (c *Cluster) migrateGuest(p *sim.Proc, g *Guest, dst *Host) error {
 	src := g.host
 	g.migrating = true
-	dst.committedMB += g.MemMB // reserve before the pre-copy starts
+	dst.committedMB += g.MemMB
 	defer func() {
 		g.migrating = false
 		c.migDone.Broadcast()
 	}()
 
-	srcTS := src.PL.Toolstacks[0]
-	dstTS := dst.PL.Toolstacks[0]
-	newDom, res, err := migrate.LiveMigrate(
-		p, src.HV, srcTS.Dom, g.Dom,
-		dst.HV, dst.PL.BuilderDom,
-		c.link, migrate.DefaultOptions())
+	rec, res, err := src.PL.Toolstacks[0].MigrateTo(p, g.Dom, dst.PL.Toolstacks[0])
 	if err != nil {
 		dst.committedMB -= g.MemMB
 		c.MigrationFailures++
 		c.m.Counter("cluster_migration_failures_total").Inc()
 		return err
 	}
-	srcTS.Forget(g.Dom)
 	delete(src.guests, g.Dom)
 	src.committedMB -= g.MemMB
-
-	if err := dst.HV.SetParentTool(dst.PL.BuilderDom, newDom, dstTS.Dom); err != nil {
-		return fmt.Errorf("cluster: handoff of migrated %q: %w", g.Name, err)
-	}
-	if _, err := dstTS.Adopt(p, newDom, toolstack.GuestConfig{Name: g.Name, MemMB: g.MemMB}); err != nil {
-		return fmt.Errorf("cluster: adopt of migrated %q: %w", g.Name, err)
-	}
-	g.Dom = newDom
+	g.Dom = rec.Dom
 	g.host = dst
-	dst.guests[newDom] = g
+	dst.guests[rec.Dom] = g
 	c.Migrations++
 	c.m.Counter("cluster_migrations_total").Inc()
 	c.m.Histogram("cluster_migration_downtime_ms", telemetry.LatencyMSBuckets).

@@ -171,8 +171,7 @@ func (pl *Platform) CreateGuest(spec GuestSpec) (*Guest, error) {
 	ts := pl.Boot.Toolstacks[spec.Toolstack]
 	var rec *toolstack.Guest
 	var err error
-	done := false
-	pl.Env.Spawn("create-"+spec.Name, func(p *sim.Proc) {
+	if !pl.step("create-"+spec.Name, 120, func(p *sim.Proc) {
 		rec, err = ts.CreateVM(p, toolstack.GuestConfig{
 			Name: spec.Name, Image: spec.Image, CustomKernel: spec.CustomKernel,
 			MemMB: spec.MemMB, VCPUs: spec.VCPUs, DiskMB: spec.DiskMB,
@@ -180,16 +179,11 @@ func (pl *Platform) CreateGuest(spec GuestSpec) (*Guest, error) {
 			NetQueues: spec.NetQueues, DiskQueues: spec.DiskQueues,
 			HVM: spec.HVM,
 		})
-		done = true
-	})
-	for i := 0; i < 120 && !done; i++ {
-		pl.Env.RunFor(sim.Second)
+	}) {
+		return nil, fmt.Errorf("core: guest creation did not complete")
 	}
 	if err != nil {
 		return nil, err
-	}
-	if !done {
-		return nil, fmt.Errorf("core: guest creation did not complete")
 	}
 	g := &Guest{Name: spec.Name, Dom: rec.Dom, VM: workload.VMOf(pl.HV, rec), rec: rec, pl: pl}
 	pl.guests[rec.Dom] = g
@@ -199,19 +193,13 @@ func (pl *Platform) CreateGuest(spec GuestSpec) (*Guest, error) {
 // DestroyGuest tears a guest down through its managing toolstack.
 func (pl *Platform) DestroyGuest(g *Guest) error {
 	var err error
-	done := false
-	pl.Env.Spawn("destroy-"+g.Name, func(p *sim.Proc) {
+	if !pl.step("destroy-"+g.Name, 30, func(p *sim.Proc) {
 		for _, ts := range pl.Boot.Toolstacks {
 			if err = ts.DestroyVM(p, g.Dom); err == nil {
 				break
 			}
 		}
-		done = true
-	})
-	for i := 0; i < 30 && !done; i++ {
-		pl.Env.RunFor(sim.Second)
-	}
-	if !done {
+	}) {
 		return fmt.Errorf("core: destroy did not complete")
 	}
 	if err == nil {
@@ -280,19 +268,25 @@ func (pl *Platform) Now() sim.Time { return pl.Env.Now() }
 // RunWorkload executes fn inside a sim process and advances time until it
 // returns (bounded by limit).
 func (pl *Platform) RunWorkload(limit sim.Duration, fn func(p *sim.Proc)) error {
-	finished := false
-	pl.Env.Spawn("workload", func(p *sim.Proc) {
-		fn(p)
-		finished = true
-	})
-	deadline := pl.Env.Now().Add(limit)
-	for !finished && pl.Env.Now() < deadline {
-		pl.Env.RunFor(sim.Second)
-	}
-	if !finished {
+	if !pl.step("workload", int((limit+sim.Second-1)/sim.Second), fn) {
 		return fmt.Errorf("core: workload exceeded %v", limit)
 	}
 	return nil
+}
+
+// step spawns fn as a simulation process and advances the clock one second
+// at a time until fn returns, for at most steps seconds. It reports whether
+// fn returned.
+func (pl *Platform) step(name string, steps int, fn func(p *sim.Proc)) bool {
+	done := false
+	pl.Env.Spawn(name, func(p *sim.Proc) {
+		fn(p)
+		done = true
+	})
+	for i := 0; i < steps && !done; i++ {
+		pl.Env.RunFor(sim.Second)
+	}
+	return done
 }
 
 // Shutdown reaps every simulation process. The platform is unusable after.

@@ -49,9 +49,7 @@ func (pl *Platform) UpgradeNetBack(index int) (xtypes.DomID, error) {
 
 	var newDom xtypes.DomID
 	var err error
-	done := false
-	pl.Env.Spawn("upgrade-netback", func(p *sim.Proc) {
-		defer func() { done = true }()
+	if !pl.step("upgrade-netback", 120, func(p *sim.Proc) {
 		// Tear the old shard down: vifs break, the NIC is released.
 		for _, g := range clients {
 			old.RemoveVif(g.Dom)
@@ -116,11 +114,7 @@ func (pl *Platform) UpgradeNetBack(index int) (xtypes.DomID, error) {
 			g.rec.Net = fe
 			g.VM.Net = fe
 		}
-	})
-	for i := 0; i < 120 && !done; i++ {
-		pl.Env.RunFor(sim.Second)
-	}
-	if !done {
+	}) {
 		return xtypes.DomIDNone, fmt.Errorf("core: upgrade did not complete")
 	}
 	if err != nil {

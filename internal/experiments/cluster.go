@@ -110,7 +110,7 @@ func ClusterChurn(cfg ClusterChurnConfig) (Table, error) {
 		}
 		// Drain the hot host one migration per pass until balanced.
 		for {
-			moved, err := rb.RebalanceOnce(p, 512)
+			moved, err := rb.RebalanceOnce(p)
 			if err != nil || !moved {
 				return
 			}
