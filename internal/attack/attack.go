@@ -191,11 +191,11 @@ func (s Sequence) Encode() []byte {
 	return out
 }
 
-// DecodeSequence is the inverse of Encode, tolerant of arbitrary fuzz bytes:
+// decodeSequence is the inverse of Encode, tolerant of arbitrary fuzz bytes:
 // out-of-range personas, ops and targets wrap around, a trailing partial
 // triple is dropped, and sequences are truncated to MaxCalls. Only an empty
 // input fails to decode.
-func DecodeSequence(data []byte) (Sequence, bool) {
+func decodeSequence(data []byte) (Sequence, bool) {
 	if len(data) == 0 {
 		return Sequence{}, false
 	}

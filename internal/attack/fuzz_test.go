@@ -18,7 +18,7 @@ func FuzzHypercallSequence(f *testing.F) {
 		f.Add(seq.Encode())
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		seq, ok := DecodeSequence(data)
+		seq, ok := decodeSequence(data)
 		if !ok {
 			t.Skip("undecodable input")
 		}
@@ -158,7 +158,7 @@ func TestSequenceDeterminism(t *testing.T) {
 	if !reflect.DeepEqual(seq, Generate(42)) {
 		t.Fatal("Generate(42) is not deterministic")
 	}
-	decoded, ok := DecodeSequence(seq.Encode())
+	decoded, ok := decodeSequence(seq.Encode())
 	if !ok || !reflect.DeepEqual(seq, decoded) {
 		t.Fatalf("encode/decode roundtrip mismatch:\n got %+v\nwant %+v", decoded, seq)
 	}
@@ -179,14 +179,14 @@ func TestSequenceDeterminism(t *testing.T) {
 // TestDecodeSequenceTolerance: arbitrary fuzz bytes must always decode into
 // an executable sequence (wrapping, truncation), never panic or reject.
 func TestDecodeSequenceTolerance(t *testing.T) {
-	if _, ok := DecodeSequence(nil); ok {
+	if _, ok := decodeSequence(nil); ok {
 		t.Fatal("empty input decoded")
 	}
 	raw := make([]byte, 1+3*MaxCalls+50)
 	for i := range raw {
 		raw[i] = byte(251 + i*7)
 	}
-	seq, ok := DecodeSequence(raw)
+	seq, ok := decodeSequence(raw)
 	if !ok {
 		t.Fatal("long input rejected")
 	}

@@ -44,11 +44,11 @@ type ScenarioResult struct {
 	Ring0Grants int
 }
 
-// Taxonomy is the canonical scenario list. Together the classes cover the
+// taxonomy is the canonical scenario list. Together the classes cover the
 // §2.3 vectors: the management API (from a shard and from a guest), the
 // virtual-device backends and their IVC client surface, XenStore, the debug
 // interface, foreign memory mapping, and snapshot replay.
-func Taxonomy() []Scenario {
+func taxonomy() []Scenario {
 	return []Scenario{
 		{
 			Name:  "netback-compromise",
@@ -175,7 +175,7 @@ func (ha *Harness) shardDom(t Target) xtypes.DomID {
 // exact counts.
 func RunTaxonomy() ([]ScenarioResult, error) {
 	var out []ScenarioResult
-	for _, sc := range Taxonomy() {
+	for _, sc := range taxonomy() {
 		r, err := runScenario(sc)
 		if err != nil {
 			return nil, err

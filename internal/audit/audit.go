@@ -84,9 +84,9 @@ func (l *Log) Verify() int {
 	return -1
 }
 
-// Tamper overwrites a record's argument, for demonstrating Verify in tests
+// tamper overwrites a record's argument, for demonstrating Verify in tests
 // and examples. A real off-host log would not expose this.
-func (l *Log) Tamper(i int, arg string) {
+func (l *Log) tamper(i int, arg string) {
 	if i >= 0 && i < len(l.records) {
 		l.records[i].Arg = arg
 	}
@@ -173,10 +173,10 @@ func (l *Log) DependentsOf(shard xtypes.DomID, from, to sim.Time) []xtypes.DomID
 	return out
 }
 
-// ServicedBy lists the shards that ever serviced guest — the "which release
+// servicedBy lists the shards that ever serviced guest — the "which release
 // of which component touched this VM" query used for retroactive
 // vulnerability assessment.
-func (l *Log) ServicedBy(guest xtypes.DomID) []xtypes.DomID {
+func (l *Log) servicedBy(guest xtypes.DomID) []xtypes.DomID {
 	seen := make(map[xtypes.DomID]bool)
 	var out []xtypes.DomID
 	for _, r := range l.records {
@@ -224,15 +224,15 @@ func (l *Log) KindCount(kind string) int {
 	return n
 }
 
-// Save serializes the log (the "off-host, append-only" store of §3.2.2
+// save serializes the log (the "off-host, append-only" store of §3.2.2
 // materialized), preserving the hash chain so the reader can re-verify.
-func (l *Log) Save(w io.Writer) error {
+func (l *Log) save(w io.Writer) error {
 	return json.NewEncoder(w).Encode(l.records)
 }
 
-// LoadLog reads a saved log and verifies its hash chain before returning it;
+// loadLog reads a saved log and verifies its hash chain before returning it;
 // a tampered image is rejected with the corrupt record's index.
-func LoadLog(r io.Reader) (*Log, int, error) {
+func loadLog(r io.Reader) (*Log, int, error) {
 	var recs []Record
 	if err := json.NewDecoder(r).Decode(&recs); err != nil {
 		return nil, -1, fmt.Errorf("audit: load: %w", err)

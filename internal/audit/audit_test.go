@@ -18,7 +18,7 @@ func TestHashChainVerify(t *testing.T) {
 	if got := l.Verify(); got != -1 {
 		t.Fatalf("fresh log corrupt at %d", got)
 	}
-	l.Tamper(1, "dom6")
+	l.tamper(1, "dom6")
 	if got := l.Verify(); got != 1 {
 		t.Fatalf("tamper detected at %d, want 1", got)
 	}
@@ -77,7 +77,7 @@ func TestServicedBy(t *testing.T) {
 	l.Append(s(0), "link-shard", 2, "dom5")
 	l.Append(s(0), "link-shard", 3, "dom5")
 	l.Append(s(0), "link-shard", 4, "dom6")
-	got := l.ServicedBy(5)
+	got := l.servicedBy(5)
 	if len(got) != 2 || got[0] != 2 || got[1] != 3 {
 		t.Fatalf("servicedBy(5) = %v", got)
 	}
@@ -110,10 +110,10 @@ func TestSaveLoadPreservesChain(t *testing.T) {
 	l.Append(s(1), "create", 1, "netback")
 	l.Append(s(2), "link-shard", 1, "dom5")
 	var buf bytes.Buffer
-	if err := l.Save(&buf); err != nil {
+	if err := l.save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	restored, bad, err := LoadLog(&buf)
+	restored, bad, err := loadLog(&buf)
 	if err != nil || bad != -1 {
 		t.Fatalf("load: %v (bad=%d)", err, bad)
 	}
@@ -130,13 +130,13 @@ func TestLoadRejectsTamperedImage(t *testing.T) {
 	l := NewLog()
 	l.Append(s(1), "create", 1, "x")
 	l.Append(s(2), "destroy", 1, "y")
-	l.Tamper(0, "forged")
+	l.tamper(0, "forged")
 	var buf bytes.Buffer
-	l.Save(&buf)
-	if _, bad, err := LoadLog(&buf); err == nil || bad != 0 {
+	l.save(&buf)
+	if _, bad, err := loadLog(&buf); err == nil || bad != 0 {
 		t.Fatalf("tampered image accepted: bad=%d err=%v", bad, err)
 	}
-	if _, _, err := LoadLog(bytes.NewReader([]byte("junk"))); err == nil {
+	if _, _, err := loadLog(bytes.NewReader([]byte("junk"))); err == nil {
 		t.Fatal("garbage accepted")
 	}
 }

@@ -124,8 +124,8 @@ type DataPathStats struct {
 	RespDescs, RespNotifies, RespSuppressed int64
 }
 
-// DataPathStats snapshots the aggregate ring counters.
-func (b *Backend) DataPathStats() DataPathStats {
+// dataPathStats snapshots the aggregate ring counters.
+func (b *Backend) dataPathStats() DataPathStats {
 	var s DataPathStats
 	for _, v := range b.vbds {
 		for _, q := range v.queues {
@@ -139,16 +139,6 @@ func (b *Backend) DataPathStats() DataPathStats {
 		}
 	}
 	return s
-}
-
-// SetAlwaysNotify switches every vbd ring between suppressed (default) and
-// notify-per-push operation, for the per-descriptor ablation baseline.
-func (b *Backend) SetAlwaysNotify(on bool) {
-	for _, v := range b.vbds {
-		for _, q := range v.queues {
-			q.ring.AlwaysNotify = on
-		}
-	}
 }
 
 // SetMetrics attaches a telemetry registry (nil = disabled). The ring
@@ -227,22 +217,7 @@ func (b *Backend) DeleteImage(name string) error {
 	return nil
 }
 
-// Images lists image names (unordered).
-func (b *Backend) Images() []string {
-	out := make([]string, 0, len(b.images))
-	for n := range b.images {
-		out = append(out, n)
-	}
-	return out
-}
-
 // --- vbd lifecycle ----------------------------------------------------------
-
-// CreateVbd provisions a single-ring vbd for guest backed by the named
-// image (the loopback mount now performed in BlkBack rather than Dom0, §5.4).
-func (b *Backend) CreateVbd(guest xtypes.DomID, image string) error {
-	return b.CreateVbdQueues(guest, image, 1)
-}
 
 // CreateVbdQueues provisions a vbd with n request rings. The frontend
 // stripes segments across them; each ring gets its own worker, so a
@@ -300,9 +275,9 @@ func queueRefPath(guest xtypes.DomID, qi int) string {
 	return fmt.Sprintf("%s/ring-ref-%d", base, qi)
 }
 
-// AcceptConnection completes the backend half of the handshake. A
+// acceptConnection completes the backend half of the handshake. A
 // handshake that fails part-way unmaps every ring page it mapped.
-func (b *Backend) AcceptConnection(p *sim.Proc, guest xtypes.DomID) error {
+func (b *Backend) acceptConnection(p *sim.Proc, guest xtypes.DomID) error {
 	v, ok := b.vbds[guest]
 	if !ok {
 		return fmt.Errorf("blkback: no vbd for %v: %w", guest, xtypes.ErrNotFound)
@@ -337,34 +312,6 @@ func (b *Backend) AcceptConnection(p *sim.Proc, guest xtypes.DomID) error {
 	b.XS.Write(xenstore.TxNone, fmt.Sprintf("%s/%d/state", b.backendPath(), guest), "connected")
 	b.startWorker(v)
 	return nil
-}
-
-// WatchAndServe runs BlkBack's autonomous event loop, the blkback
-// counterpart of netback's (§4.5.1): it watches for frontend vbd
-// advertisements in XenStore and completes the handshake when one appears.
-func (b *Backend) WatchAndServe(p *sim.Proc) {
-	if err := b.XS.Watch("/local", "blkback-frontends"); err != nil {
-		return
-	}
-	for {
-		ev, ok := b.XS.WaitWatch(p)
-		if !ok {
-			return
-		}
-		var g uint32
-		var rest string
-		if n, _ := fmt.Sscanf(ev.Path, "/local/domain/%d/device/vbd/0/%s", &g, &rest); n != 2 || rest != "ring-ref" {
-			continue
-		}
-		guest := xtypes.DomID(g)
-		v, exists := b.vbds[guest]
-		if !exists || v.connected {
-			continue
-		}
-		if err := b.AcceptConnection(p, guest); err != nil {
-			continue
-		}
-	}
 }
 
 // startWorker spawns the per-queue request-service loops. Each drains its
@@ -525,7 +472,7 @@ func (f *Frontend) Connect(p *sim.Proc, back *Backend) error {
 			return err
 		}
 	}
-	if err := back.AcceptConnection(p, f.Guest); err != nil {
+	if err := back.acceptConnection(p, f.Guest); err != nil {
 		return err
 	}
 	f.XS.Write(xenstore.TxNone, fmt.Sprintf("/local/domain/%d/device/vbd/0/state", f.Guest), "connected")
@@ -637,8 +584,8 @@ func (f *Frontend) Write(p *sim.Proc, bytes int, sequential bool) error {
 	return f.io(p, OpWrite, bytes, sequential)
 }
 
-// Flush issues a write barrier.
-func (f *Frontend) Flush(p *sim.Proc) error { return f.io(p, OpFlush, 0, false) }
+// flush issues a write barrier.
+func (f *Frontend) flush(p *sim.Proc) error { return f.io(p, OpFlush, 0, false) }
 
 // WaitReconnect blocks until the backend finishes a microreboot, with the
 // same polling model as netfront.

@@ -52,7 +52,7 @@ func (hn *harness) boot(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		if err := hn.back.CreateVbd(hn.guest.ID, "guest-disk"); err != nil {
+		if err := hn.back.CreateVbdQueues(hn.guest.ID, "guest-disk", 1); err != nil {
 			t.Error(err)
 			return
 		}
@@ -90,7 +90,7 @@ func TestImageProxy(t *testing.T) {
 
 func TestVbdRequiresImage(t *testing.T) {
 	hn := newHarness(t)
-	if err := hn.back.CreateVbd(hn.guest.ID, "nope"); !errors.Is(err, xtypes.ErrNotFound) {
+	if err := hn.back.CreateVbdQueues(hn.guest.ID, "nope", 1); !errors.Is(err, xtypes.ErrNotFound) {
 		t.Fatalf("vbd without image: %v", err)
 	}
 	hn.env.Shutdown()
@@ -101,7 +101,7 @@ func TestImageSingleMount(t *testing.T) {
 	hn.boot(t)
 	other, _ := hn.h.CreateDomain(hv.SystemCaller, hv.DomainConfig{Name: "other", MemMB: 64})
 	hn.h.Unpause(hv.SystemCaller, other.ID)
-	if err := hn.back.CreateVbd(other.ID, "guest-disk"); !errors.Is(err, xtypes.ErrInUse) {
+	if err := hn.back.CreateVbdQueues(other.ID, "guest-disk", 1); !errors.Is(err, xtypes.ErrInUse) {
 		t.Fatalf("double mount: %v", err)
 	}
 	hn.env.Shutdown()
@@ -188,7 +188,7 @@ func TestFlushBarrier(t *testing.T) {
 	hn := newHarness(t)
 	hn.boot(t)
 	hn.env.Spawn("app", func(p *sim.Proc) {
-		if err := hn.front.Flush(p); err != nil {
+		if err := hn.front.flush(p); err != nil {
 			t.Error(err)
 		}
 	})
@@ -271,7 +271,7 @@ func TestBlkBatchingAmortizesNotifies(t *testing.T) {
 	if !done {
 		t.Fatal("read did not complete")
 	}
-	st := hn.back.DataPathStats()
+	st := hn.back.dataPathStats()
 	if st.ReqDescs == 0 || st.ReqNotifies == 0 {
 		t.Fatalf("stats = %+v", st)
 	}
@@ -311,7 +311,7 @@ func TestFailedHandshakeUnmapsEveryRing(t *testing.T) {
 			hn.front.XS.Write(xenstore.TxNone, path, fmt.Sprintf("%d/%d", ref, port))
 			hn.front.XS.SetPerms(path, xenstore.Perms{Owner: hn.guest.ID, Read: []xtypes.DomID{hn.back.Dom}})
 		}
-		err = hn.back.AcceptConnection(p, hn.guest.ID)
+		err = hn.back.acceptConnection(p, hn.guest.ID)
 	})
 	hn.env.RunFor(10 * sim.Second)
 	if err == nil {

@@ -194,8 +194,8 @@ var Roles = []Role{
 	},
 }
 
-// RoleByName returns the declared role, if any.
-func RoleByName(name string) (Role, bool) {
+// roleByName returns the declared role, if any.
+func roleByName(name string) (Role, bool) {
 	for _, r := range Roles {
 		if r.Name == name {
 			return r, true

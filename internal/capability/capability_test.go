@@ -11,14 +11,14 @@ import (
 // grant decodes to a real hypercall, and only privileged hypercalls appear
 // as grants (ambient calls need no whitelist entry).
 func TestEmbeddedManifestMatchesRoles(t *testing.T) {
-	m := Embedded()
+	m := embedded
 	if m == nil {
 		t.Fatal("no embedded manifest")
 	}
 	byRole := map[string]bool{}
 	for _, s := range m.Shards {
 		byRole[s.Role] = true
-		if _, ok := RoleByName(s.Role); !ok {
+		if _, ok := roleByName(s.Role); !ok {
 			t.Errorf("manifest shard %q matches no declared role", s.Role)
 		}
 		for _, g := range s.Grants {
@@ -48,7 +48,7 @@ func TestEmbeddedManifestMatchesRoles(t *testing.T) {
 // TestSurfaceTotalsConsistent recomputes each shard's surface summary from
 // its grant list.
 func TestSurfaceTotalsConsistent(t *testing.T) {
-	for _, s := range Embedded().Shards {
+	for _, s := range embedded.Shards {
 		ring0, risk := 0, 0
 		for _, g := range s.Grants {
 			if g.Ring == Ring0.String() {

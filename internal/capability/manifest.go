@@ -202,9 +202,6 @@ func init() {
 	}
 }
 
-// Embedded returns the checked-in manifest the runtime consumes.
-func Embedded() *Manifest { return embedded }
-
 // Lookup returns one shard's manifest from the embedded artifact.
 func Lookup(role string) (*ShardManifest, bool) {
 	s, ok := embeddedByRole[role]

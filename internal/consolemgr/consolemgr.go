@@ -139,10 +139,10 @@ func (m *Manager) Buffer(guest xtypes.DomID) []string {
 // Consoles reports the number of live virtual consoles.
 func (m *Manager) Consoles() int { return len(m.consoles) }
 
-// Attach directs physical console input to guest's virtual console —
+// attach directs physical console input to guest's virtual console —
 // xenconsole's session switch. The Console Manager must hold the console
 // VIRQ route for input to reach it at all.
-func (m *Manager) Attach(guest xtypes.DomID) error {
+func (m *Manager) attach(guest xtypes.DomID) error {
 	if _, ok := m.consoles[guest]; !ok {
 		return fmt.Errorf("consolemgr: attach %v: %w", guest, xtypes.ErrNotFound)
 	}
@@ -150,10 +150,10 @@ func (m *Manager) Attach(guest xtypes.DomID) error {
 	return nil
 }
 
-// InjectInput models operator keystrokes arriving on the physical serial
+// injectInput models operator keystrokes arriving on the physical serial
 // port: the hardware raises the console VIRQ, and — if it is routed to this
 // manager — the line lands in the attached guest's input queue.
-func (m *Manager) InjectInput(line string) error {
+func (m *Manager) injectInput(line string) error {
 	if m.serving.Closed() {
 		return fmt.Errorf("consolemgr: not serving: %w", xtypes.ErrShutdown)
 	}
@@ -170,9 +170,9 @@ func (m *Manager) InjectInput(line string) error {
 	return nil
 }
 
-// GuestReadInput blocks the guest process until an input line arrives on its
+// guestReadInput blocks the guest process until an input line arrives on its
 // virtual console.
-func (m *Manager) GuestReadInput(p *sim.Proc, guest xtypes.DomID) (string, bool) {
+func (m *Manager) guestReadInput(p *sim.Proc, guest xtypes.DomID) (string, bool) {
 	vc, ok := m.consoles[guest]
 	if !ok {
 		return "", false

@@ -120,15 +120,15 @@ func TestConsoleInputPath(t *testing.T) {
 			return
 		}
 		m.CreateConsole(guest.ID)
-		if err := m.Attach(guest.ID); err != nil {
+		if err := m.attach(guest.ID); err != nil {
 			t.Error(err)
 			return
 		}
-		if err := m.InjectInput("root"); err != nil {
+		if err := m.injectInput("root"); err != nil {
 			t.Error(err)
 			return
 		}
-		line, ok := m.GuestReadInput(p, guest.ID)
+		line, ok := m.guestReadInput(p, guest.ID)
 		if !ok || line != "root" {
 			t.Errorf("guest read = %q, %v", line, ok)
 		}
@@ -146,10 +146,10 @@ func TestInputWithoutVIRQRouteDenied(t *testing.T) {
 	env.Spawn("flow", func(p *sim.Proc) {
 		m.Start(p)
 		m.CreateConsole(guest.ID)
-		m.Attach(guest.ID)
+		m.attach(guest.ID)
 		// The hypervisor never routed VIRQConsole here (§5.8's hard-coded
 		// Dom0 assumption, unfixed): input must be refused.
-		if err := m.InjectInput("x"); !errors.Is(err, xtypes.ErrPerm) {
+		if err := m.injectInput("x"); !errors.Is(err, xtypes.ErrPerm) {
 			t.Errorf("input without route: %v", err)
 		}
 	})
@@ -161,7 +161,7 @@ func TestAttachUnknownConsole(t *testing.T) {
 	env, _, m, _ := setup(t, true)
 	env.Spawn("flow", func(p *sim.Proc) {
 		m.Start(p)
-		if err := m.Attach(99); !errors.Is(err, xtypes.ErrNotFound) {
+		if err := m.attach(99); !errors.Is(err, xtypes.ErrNotFound) {
 			t.Errorf("attach unknown: %v", err)
 		}
 	})

@@ -179,7 +179,7 @@ func (t *Table) deliver(ch *channel) {
 }
 
 // dispatch marks a channel pending and fires its upcall (or defers under
-// mask). It does not count: Unmask reuses it to redeliver a deferred event.
+// mask). It does not count: unmask reuses it to redeliver a deferred event.
 func (t *Table) dispatch(ch *channel) {
 	ch.pending = true
 	if ch.masked {
@@ -256,9 +256,9 @@ func (t *Table) SetHandler(dom xtypes.DomID, port xtypes.Port, h func()) error {
 	return nil
 }
 
-// Mask suppresses upcalls for the port; events arriving while masked leave
+// mask suppresses upcalls for the port; events arriving while masked leave
 // the pending bit set.
-func (t *Table) Mask(dom xtypes.DomID, port xtypes.Port) error {
+func (t *Table) mask(dom xtypes.DomID, port xtypes.Port) error {
 	ch, err := t.lookup(dom, port)
 	if err != nil {
 		return err
@@ -267,8 +267,8 @@ func (t *Table) Mask(dom xtypes.DomID, port xtypes.Port) error {
 	return nil
 }
 
-// Unmask re-enables delivery; a pending event fires immediately.
-func (t *Table) Unmask(dom xtypes.DomID, port xtypes.Port) error {
+// unmask re-enables delivery; a pending event fires immediately.
+func (t *Table) unmask(dom xtypes.DomID, port xtypes.Port) error {
 	ch, err := t.lookup(dom, port)
 	if err != nil {
 		return err
@@ -281,8 +281,8 @@ func (t *Table) Unmask(dom xtypes.DomID, port xtypes.Port) error {
 	return nil
 }
 
-// Pending reports (without clearing) the port's pending bit.
-func (t *Table) Pending(dom xtypes.DomID, port xtypes.Port) (bool, error) {
+// pending reports (without clearing) the port's pending bit.
+func (t *Table) pending(dom xtypes.DomID, port xtypes.Port) (bool, error) {
 	ch, err := t.lookup(dom, port)
 	if err != nil {
 		return false, err
@@ -290,10 +290,10 @@ func (t *Table) Pending(dom xtypes.DomID, port xtypes.Port) (bool, error) {
 	return ch.pending, nil
 }
 
-// Wait blocks the calling process until the port has a pending event, then
+// wait blocks the calling process until the port has a pending event, then
 // clears the pending bit. It returns false if the port was closed while
 // waiting.
-func (t *Table) Wait(p *sim.Proc, dom xtypes.DomID, port xtypes.Port) bool {
+func (t *Table) wait(p *sim.Proc, dom xtypes.DomID, port xtypes.Port) bool {
 	for {
 		ch, err := t.lookup(dom, port)
 		if err != nil {
@@ -307,8 +307,8 @@ func (t *Table) Wait(p *sim.Proc, dom xtypes.DomID, port xtypes.Port) bool {
 	}
 }
 
-// WaitTimeout is Wait with a deadline; it returns false on timeout or close.
-func (t *Table) WaitTimeout(p *sim.Proc, dom xtypes.DomID, port xtypes.Port, d sim.Duration) bool {
+// waitTimeout is wait with a deadline; it returns false on timeout or close.
+func (t *Table) waitTimeout(p *sim.Proc, dom xtypes.DomID, port xtypes.Port, d sim.Duration) bool {
 	deadline := t.env.Now().Add(d)
 	ch0, err := t.lookup(dom, port)
 	if err != nil {
@@ -368,8 +368,8 @@ func (t *Table) Close(dom xtypes.DomID, port xtypes.Port) error {
 	return nil
 }
 
-// Peer reports the remote endpoint of an interdomain channel.
-func (t *Table) Peer(dom xtypes.DomID, port xtypes.Port) (xtypes.DomID, xtypes.Port, error) {
+// peer reports the remote endpoint of an interdomain channel.
+func (t *Table) peer(dom xtypes.DomID, port xtypes.Port) (xtypes.DomID, xtypes.Port, error) {
 	ch, err := t.lookup(dom, port)
 	if err != nil {
 		return xtypes.DomIDNone, xtypes.PortInvalid, err
@@ -380,9 +380,9 @@ func (t *Table) Peer(dom xtypes.DomID, port xtypes.Port) (xtypes.DomID, xtypes.P
 	return ch.remoteDom, ch.remotePort, nil
 }
 
-// Connections lists the interdomain peers of dom. The security evaluation
+// connections lists the interdomain peers of dom. The security evaluation
 // uses this to build signalling-exposure edges of the component graph.
-func (t *Table) Connections(dom xtypes.DomID) []xtypes.DomID {
+func (t *Table) connections(dom xtypes.DomID) []xtypes.DomID {
 	dp, ok := t.domains[dom]
 	if !ok {
 		return nil
@@ -398,8 +398,8 @@ func (t *Table) Connections(dom xtypes.DomID) []xtypes.DomID {
 	return out
 }
 
-// NotifyCount reports how many events were ever delivered to the port.
-func (t *Table) NotifyCount(dom xtypes.DomID, port xtypes.Port) int {
+// notifyCount reports how many events were ever delivered to the port.
+func (t *Table) notifyCount(dom xtypes.DomID, port xtypes.Port) int {
 	ch, err := t.lookup(dom, port)
 	if err != nil {
 		return 0

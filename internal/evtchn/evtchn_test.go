@@ -34,11 +34,11 @@ func pair(t *testing.T, tbl *Table) (p1, p2 xtypes.Port) {
 func TestBindHandshake(t *testing.T) {
 	_, tbl := newTable()
 	p1, p2 := pair(t, tbl)
-	rd, rp, err := tbl.Peer(1, p1)
+	rd, rp, err := tbl.peer(1, p1)
 	if err != nil || rd != 2 || rp != p2 {
 		t.Fatalf("peer(1) = %v:%d, %v", rd, rp, err)
 	}
-	rd, rp, err = tbl.Peer(2, p2)
+	rd, rp, err = tbl.peer(2, p2)
 	if err != nil || rd != 1 || rp != p1 {
 		t.Fatalf("peer(2) = %v:%d, %v", rd, rp, err)
 	}
@@ -70,7 +70,7 @@ func TestNotifyWakesWaiter(t *testing.T) {
 	p1, p2 := pair(t, tbl)
 	var wokeAt sim.Time
 	env.Spawn("waiter", func(p *sim.Proc) {
-		if !tbl.Wait(p, 2, p2) {
+		if !tbl.wait(p, 2, p2) {
 			t.Error("wait failed")
 		}
 		wokeAt = p.Now()
@@ -92,13 +92,13 @@ func TestPendingConsumedByWait(t *testing.T) {
 	p1, p2 := pair(t, tbl)
 	env.Spawn("test", func(p *sim.Proc) {
 		tbl.Notify(1, p1)
-		if ok, _ := tbl.Pending(2, p2); !ok {
+		if ok, _ := tbl.pending(2, p2); !ok {
 			t.Error("not pending after notify")
 		}
-		if !tbl.Wait(p, 2, p2) {
+		if !tbl.wait(p, 2, p2) {
 			t.Error("wait failed")
 		}
-		if ok, _ := tbl.Pending(2, p2); ok {
+		if ok, _ := tbl.pending(2, p2); ok {
 			t.Error("still pending after wait")
 		}
 	})
@@ -127,16 +127,16 @@ func TestMaskDefersDelivery(t *testing.T) {
 	calls := 0
 	tbl.SetHandler(2, p2, func() { calls++ })
 	env.Spawn("test", func(p *sim.Proc) {
-		tbl.Mask(2, p2)
+		tbl.mask(2, p2)
 		tbl.Notify(1, p1)
 		p.Sleep(sim.Millisecond)
 		if calls != 0 {
 			t.Error("handler ran while masked")
 		}
-		if ok, _ := tbl.Pending(2, p2); !ok {
+		if ok, _ := tbl.pending(2, p2); !ok {
 			t.Error("pending bit lost while masked")
 		}
-		tbl.Unmask(2, p2)
+		tbl.unmask(2, p2)
 	})
 	env.RunAll()
 	if calls != 1 {
@@ -172,7 +172,7 @@ func TestCloseBreaksPeer(t *testing.T) {
 	var waiterResult bool
 	var waiterDone bool
 	env.Spawn("waiter", func(p *sim.Proc) {
-		waiterResult = tbl.Wait(p, 2, p2)
+		waiterResult = tbl.wait(p, 2, p2)
 		// After the break, the endpoint reverts to unbound: a second wait on
 		// a never-signalled unbound port would block forever, so instead just
 		// check Notify now fails from side 2.
@@ -218,7 +218,7 @@ func TestWaitTimeout(t *testing.T) {
 	var ok bool
 	var at sim.Time
 	env.Spawn("waiter", func(p *sim.Proc) {
-		ok = tbl.WaitTimeout(p, 2, p2, 10*sim.Millisecond)
+		ok = tbl.waitTimeout(p, 2, p2, 10*sim.Millisecond)
 		at = p.Now()
 	})
 	env.RunAll()
@@ -235,7 +235,7 @@ func TestConnectionsEnumeration(t *testing.T) {
 	if _, err := tbl.BindInterdomain(1, 3, p3u); err != nil {
 		t.Fatal(err)
 	}
-	conns := tbl.Connections(1)
+	conns := tbl.connections(1)
 	if len(conns) != 2 {
 		t.Fatalf("connections = %v", conns)
 	}
@@ -250,7 +250,7 @@ func TestNotifyCount(t *testing.T) {
 		}
 	})
 	env.RunAll()
-	if n := tbl.NotifyCount(2, p2); n != 7 {
+	if n := tbl.notifyCount(2, p2); n != 7 {
 		t.Fatalf("notify count = %d", n)
 	}
 }
@@ -293,13 +293,13 @@ func TestEvtchnLifecycleProperty(t *testing.T) {
 							okAll = false
 							return
 						}
-						pending, err := tbl.Pending(2, pr.p2)
+						pending, err := tbl.pending(2, pr.p2)
 						if err != nil || !pending {
 							okAll = false
 							return
 						}
 						// Consume so later checks are clean.
-						if !tbl.Wait(p, 2, pr.p2) {
+						if !tbl.wait(p, 2, pr.p2) {
 							okAll = false
 							return
 						}
@@ -336,7 +336,7 @@ func TestCloseClearsStalePeerState(t *testing.T) {
 	env.Spawn("test", func(p *sim.Proc) {
 		tbl.Notify(1, p1) // event in flight, never consumed
 		tbl.Close(1, p1)  // backend dies mid-event (microreboot)
-		if ok, _ := tbl.Pending(2, p2); ok {
+		if ok, _ := tbl.pending(2, p2); ok {
 			t.Error("pending bit survived close: phantom event")
 			return
 		}
@@ -347,7 +347,7 @@ func TestCloseClearsStalePeerState(t *testing.T) {
 			return
 		}
 		// The fresh connection must not observe an event it never sent.
-		if tbl.WaitTimeout(p, 2, p2, 5*sim.Millisecond) {
+		if tbl.waitTimeout(p, 2, p2, 5*sim.Millisecond) {
 			t.Error("phantom event delivered on rebound channel")
 			return
 		}
@@ -356,7 +356,7 @@ func TestCloseClearsStalePeerState(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		if ok, _ := tbl.Pending(2, p2); !ok {
+		if ok, _ := tbl.pending(2, p2); !ok {
 			t.Error("real notify lost after rebind")
 		}
 	})
@@ -370,27 +370,27 @@ func TestNotifyCountMaskedCountsOnce(t *testing.T) {
 	env, tbl := newTable()
 	p1, p2 := pair(t, tbl)
 	env.Spawn("test", func(p *sim.Proc) {
-		tbl.Mask(2, p2)
+		tbl.mask(2, p2)
 		tbl.Notify(1, p1) // arrives under mask: counts once
-		if n := tbl.NotifyCount(2, p2); n != 1 {
+		if n := tbl.notifyCount(2, p2); n != 1 {
 			t.Errorf("count under mask = %d", n)
 		}
-		tbl.Unmask(2, p2) // redelivery of the deferred event, not a new one
-		if n := tbl.NotifyCount(2, p2); n != 1 {
+		tbl.unmask(2, p2) // redelivery of the deferred event, not a new one
+		if n := tbl.notifyCount(2, p2); n != 1 {
 			t.Errorf("count after unmask = %d", n)
 		}
-		if !tbl.Wait(p, 2, p2) {
+		if !tbl.wait(p, 2, p2) {
 			t.Error("deferred event lost")
 		}
 		// Interleave unmasked and masked notifies: three arrivals total.
 		tbl.Notify(1, p1)
-		tbl.Mask(2, p2)
+		tbl.mask(2, p2)
 		tbl.Notify(1, p1)
-		tbl.Unmask(2, p2)
-		if n := tbl.NotifyCount(2, p2); n != 3 {
+		tbl.unmask(2, p2)
+		if n := tbl.notifyCount(2, p2); n != 3 {
 			t.Errorf("count after mask/notify/unmask sequence = %d", n)
 		}
-		if !tbl.Wait(p, 2, p2) {
+		if !tbl.wait(p, 2, p2) {
 			t.Error("event lost after sequence")
 		}
 	})
@@ -403,14 +403,14 @@ func TestWaitTimeoutZeroDeadline(t *testing.T) {
 	env, tbl := newTable()
 	p1, p2 := pair(t, tbl)
 	env.Spawn("test", func(p *sim.Proc) {
-		if tbl.WaitTimeout(p, 2, p2, 0) {
+		if tbl.waitTimeout(p, 2, p2, 0) {
 			t.Error("zero-deadline wait returned true with no event")
 		}
 		if p.Now() != 0 {
 			t.Errorf("zero-deadline wait blocked until %v", p.Now())
 		}
 		tbl.Notify(1, p1)
-		if !tbl.WaitTimeout(p, 2, p2, 0) {
+		if !tbl.waitTimeout(p, 2, p2, 0) {
 			t.Error("pending event not consumed at zero deadline")
 		}
 	})
@@ -425,7 +425,7 @@ func TestWaitTimeoutPortClosedWhileArmed(t *testing.T) {
 	var ok, done bool
 	var at sim.Time
 	env.Spawn("waiter", func(p *sim.Proc) {
-		ok = tbl.WaitTimeout(p, 2, p2, 100*sim.Millisecond)
+		ok = tbl.waitTimeout(p, 2, p2, 100*sim.Millisecond)
 		at = p.Now()
 		done = true
 	})
@@ -453,7 +453,7 @@ func TestWaitTimeoutSpuriousWakeupSecondWaiter(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		i := i
 		env.Spawn("waiter", func(p *sim.Proc) {
-			results[i] = tbl.WaitTimeout(p, 2, p2, 20*sim.Millisecond)
+			results[i] = tbl.waitTimeout(p, 2, p2, 20*sim.Millisecond)
 			times[i] = p.Now()
 		})
 	}

@@ -337,7 +337,7 @@ func TestAblationsTable(t *testing.T) {
 }
 
 func TestBootPipelineBeatsSerial(t *testing.T) {
-	serial, pipelined, err := BootPipelineMakespans(4)
+	serial, pipelined, err := bootPipelineMakespans(4)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -39,10 +39,10 @@ func pipelineFleet(r *Rig, n int) []builder.Request {
 	return reqs
 }
 
-// BootPipelineMakespans boots two identically-seeded rigs and returns the
+// bootPipelineMakespans boots two identically-seeded rigs and returns the
 // makespan of creating an n-guest fleet serially (n Submits) and pipelined
 // (one SubmitAll). Both are deterministic, so the comparison is exact.
-func BootPipelineMakespans(n int) (serial, pipelined sim.Duration, err error) {
+func bootPipelineMakespans(n int) (serial, pipelined sim.Duration, err error) {
 	// Fleets of 4GB guests do not fit the default 4GB testbed.
 	cfg := hw.MachineConfig{CPUs: 8, RAMMB: 8192 + n*pipelineGuestMB, NICs: 1, Disks: 1}
 	limit := sim.Duration(n+4) * 20 * sim.Second
@@ -92,7 +92,7 @@ func BootPipelineMakespans(n int) (serial, pipelined sim.Duration, err error) {
 
 // BootPipeline renders the serial-vs-pipelined comparison as a table.
 func BootPipeline(n int) (Table, error) {
-	serial, pipelined, err := BootPipelineMakespans(n)
+	serial, pipelined, err := bootPipelineMakespans(n)
 	if err != nil {
 		return Table{}, err
 	}

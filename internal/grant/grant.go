@@ -28,12 +28,6 @@ type Entry struct {
 	copies  int // completed grant-copy operations, for the audit trail
 }
 
-// Active reports the number of live mappings of the entry.
-func (e *Entry) Active() int { return e.active }
-
-// Revoked reports whether the owner has ended access.
-func (e *Entry) Revoked() bool { return e.revoked }
-
 type domainTable struct {
 	entries map[xtypes.GrantRef]*Entry
 	nextRef xtypes.GrantRef
@@ -132,10 +126,10 @@ func (t *Table) Map(mapper, owner xtypes.DomID, ref xtypes.GrantRef, write bool)
 	return &Mapping{table: t, entry: e, Ref: ref}, nil
 }
 
-// Copy performs a grant-copy: caller moves up to one page of data through the
+// copyPage performs a grant-copy: caller moves up to one page of data through the
 // entry without establishing a mapping. direction write=true means caller
 // writes into the granted page.
-func (t *Table) Copy(caller, owner xtypes.DomID, ref xtypes.GrantRef, write bool) error {
+func (t *Table) copyPage(caller, owner xtypes.DomID, ref xtypes.GrantRef, write bool) error {
 	e, err := t.lookup(owner, ref)
 	if err != nil {
 		return err
@@ -162,22 +156,6 @@ func (t *Table) EndAccess(owner xtypes.DomID, ref xtypes.GrantRef) error {
 	}
 	e.revoked = true
 	return nil
-}
-
-// GrantsBetween counts non-revoked entries owner has extended to grantee.
-// The audit log and security evaluation use this to weigh sharing edges.
-func (t *Table) GrantsBetween(owner, grantee xtypes.DomID) int {
-	dt, ok := t.domains[owner]
-	if !ok {
-		return 0
-	}
-	n := 0
-	for _, e := range dt.entries {
-		if !e.revoked && e.Grantee == grantee {
-			n++
-		}
-	}
-	return n
 }
 
 // GranteesOf lists domains that currently hold grants from owner.

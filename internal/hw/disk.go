@@ -99,12 +99,6 @@ func (d *Disk) Reset(p *sim.Proc) {
 	d.initialized = true
 }
 
-// FastReinit re-attaches without a controller reset.
-func (d *Disk) FastReinit(p *sim.Proc) {
-	p.Sleep(d.fastReinitTime)
-	d.initialized = true
-}
-
 // Initialized reports whether the disk has been brought up.
 func (d *Disk) Initialized() bool { return d.initialized }
 

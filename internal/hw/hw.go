@@ -76,7 +76,7 @@ func NewMachineWith(env *sim.Env, cfg MachineConfig) *Machine {
 	for i := 0; i < cfg.CPUs; i++ {
 		m.CPUs = append(m.CPUs, sim.NewResource(env, 1))
 	}
-	m.Bus = NewPCIBus(env)
+	m.Bus = newPCIBus(env)
 	m.Serial = NewSerial(env)
 	nm := cfg.NICModel
 	if nm == (NICModel{}) {
@@ -87,10 +87,10 @@ func NewMachineWith(env *sim.Env, cfg MachineConfig) *Machine {
 		dm = DiskModelSATA7200
 	}
 	for i := 0; i < cfg.NICs; i++ {
-		m.Bus.AddDevice(NewNICModel(env, fmt.Sprintf("%s-%d", nm.Driver, i), xtypes.PCIAddr{Bus: 2, Slot: uint8(i)}, nm))
+		m.Bus.addDevice(NewNICModel(env, fmt.Sprintf("%s-%d", nm.Driver, i), xtypes.PCIAddr{Bus: 2, Slot: uint8(i)}, nm))
 	}
 	for i := 0; i < cfg.Disks; i++ {
-		m.Bus.AddDevice(NewDiskModel(env, fmt.Sprintf("%s-%d", dm.Driver, i), xtypes.PCIAddr{Bus: 0, Slot: uint8(28 + i)}, dm))
+		m.Bus.addDevice(NewDiskModel(env, fmt.Sprintf("%s-%d", dm.Driver, i), xtypes.PCIAddr{Bus: 0, Slot: uint8(28 + i)}, dm))
 	}
 	return m
 }
@@ -132,8 +132,8 @@ type PCIBus struct {
 	EnumTime sim.Duration
 }
 
-// NewPCIBus returns an empty bus.
-func NewPCIBus(env *sim.Env) *PCIBus {
+// newPCIBus returns an empty bus.
+func newPCIBus(env *sim.Env) *PCIBus {
 	return &PCIBus{
 		env:         env,
 		devices:     make(map[xtypes.PCIAddr]Device),
@@ -143,8 +143,8 @@ func NewPCIBus(env *sim.Env) *PCIBus {
 	}
 }
 
-// AddDevice places a device on the bus.
-func (b *PCIBus) AddDevice(d Device) { b.devices[d.Addr()] = d }
+// addDevice places a device on the bus.
+func (b *PCIBus) addDevice(d Device) { b.devices[d.Addr()] = d }
 
 // Devices lists devices in address order.
 func (b *PCIBus) Devices() []Device {
@@ -169,15 +169,6 @@ func less(a, b xtypes.PCIAddr) bool {
 		return a.Bus < b.Bus
 	}
 	return a.Slot < b.Slot
-}
-
-// Lookup finds a device by address.
-func (b *PCIBus) Lookup(addr xtypes.PCIAddr) (Device, error) {
-	d, ok := b.devices[addr]
-	if !ok {
-		return nil, fmt.Errorf("pci: %v: %w", addr, xtypes.ErrNotFound)
-	}
-	return d, nil
 }
 
 // ClaimConfigSpace makes dom the single multiplexer of config-space access.

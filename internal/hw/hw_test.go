@@ -179,7 +179,7 @@ func TestDeviceResetCosts(t *testing.T) {
 		nic.Reset(p)
 		fullT = p.Now().Sub(t0)
 		t0 = p.Now()
-		nic.FastReinit(p)
+		nic.fastReinit(p)
 		fastT = p.Now().Sub(t0)
 	})
 	env.RunAll()

@@ -105,8 +105,8 @@ func (n *NIC) Reset(p *sim.Proc) {
 	n.initialized = true
 }
 
-// FastReinit re-attaches to live hardware without a PHY renegotiation.
-func (n *NIC) FastReinit(p *sim.Proc) {
+// fastReinit re-attaches to live hardware without a PHY renegotiation.
+func (n *NIC) fastReinit(p *sim.Proc) {
 	p.Sleep(n.fastReinitTime)
 	n.initialized = true
 }

@@ -81,11 +81,8 @@ func (m *Manager) recountSharedSavings() {
 	m.dedupSavedPages = saved
 }
 
-// SharedSavedPages reports frames currently reclaimed by sharing.
-func (m *Manager) SharedSavedPages() int { return m.dedupSavedPages }
-
-// CowBreaks reports how many shared pages were split by writes.
-func (m *Manager) CowBreaks() int { return m.cowBreaks }
+// sharedSavedPages reports frames currently reclaimed by sharing.
+func (m *Manager) sharedSavedPages() int { return m.dedupSavedPages }
 
 // EffectiveFreeMB is free memory including frames reclaimed by sharing —
 // the headroom dense deployments bank on.

@@ -28,8 +28,8 @@ type Region struct {
 // RegionOf constructs a region from a start frame and page count.
 func RegionOf(start xtypes.PFN, count int) Region { return Region{Start: start, Count: count} }
 
-// Contains reports whether pfn falls inside the region.
-func (r Region) Contains(pfn xtypes.PFN) bool {
+// contains reports whether pfn falls inside the region.
+func (r Region) contains(pfn xtypes.PFN) bool {
 	return pfn >= r.Start && pfn < r.Start+xtypes.PFN(r.Count)
 }
 
@@ -165,8 +165,8 @@ func (m *Manager) ForceReleaseMappings(id xtypes.DomID) {
 	}
 }
 
-// Domain returns the reservation for id.
-func (m *Manager) Domain(id xtypes.DomID) (*DomainMem, error) {
+// domain returns the reservation for id.
+func (m *Manager) domain(id xtypes.DomID) (*DomainMem, error) {
 	dm, ok := m.domains[id]
 	if !ok {
 		return nil, fmt.Errorf("mm: %v: %w", id, xtypes.ErrNoDomain)
@@ -243,9 +243,6 @@ func (dm *DomainMem) validPFN(pfn xtypes.PFN) bool {
 	return pfn < xtypes.PFN(dm.maxPages)
 }
 
-// ID returns the owning domain's ID.
-func (dm *DomainMem) ID() xtypes.DomID { return dm.id }
-
 // MaxMB reports the reservation size.
 func (dm *DomainMem) MaxMB() int { return dm.maxPages * xtypes.PageSize / (1 << 20) }
 
@@ -315,7 +312,7 @@ func (dm *DomainMem) RegisterRecoveryBox(r Region) error {
 
 func (dm *DomainMem) inRecoveryBox(pfn xtypes.PFN) bool {
 	for _, r := range dm.recovery {
-		if r.Contains(pfn) {
+		if r.contains(pfn) {
 			return true
 		}
 	}

@@ -298,7 +298,7 @@ func TestAccountingProperty(t *testing.T) {
 		}
 		used := 0
 		for id := range live {
-			dm, err := m.Domain(id)
+			dm, err := m.domain(id)
 			if err != nil {
 				return false
 			}

@@ -346,7 +346,7 @@ func TestWatchDrivenHandshake(t *testing.T) {
 	})
 	hn.env.Spawn("frontend", func(p *sim.Proc) {
 		p.Sleep(5 * sim.Second) // after backend is up
-		connErr = hn.front.Advertise(p, hn.back, 10*sim.Second)
+		connErr = hn.front.advertiseAndWait(p, hn.back, 10*sim.Second)
 	})
 	hn.env.RunFor(30 * sim.Second)
 	if connErr != nil {
@@ -381,7 +381,7 @@ func TestWatchLoopIgnoresUnknownFrontends(t *testing.T) {
 	hn.env.Spawn("backend-loop", func(p *sim.Proc) { hn.back.WatchAndServe(p) })
 	hn.env.Spawn("frontend", func(p *sim.Proc) {
 		p.Sleep(5 * sim.Second)
-		connErr = hn.front.Advertise(p, hn.back, 3*sim.Second)
+		connErr = hn.front.advertiseAndWait(p, hn.back, 3*sim.Second)
 	})
 	hn.env.RunFor(20 * sim.Second)
 	hn.env.Shutdown()

@@ -89,11 +89,11 @@ func (f *Frontend) Connect(p *sim.Proc, back *Backend) error {
 	return nil
 }
 
-// Advertise performs only the frontend's half of the handshake and then
+// advertiseAndWait performs only the frontend's half of the handshake and then
 // waits for the backend's autonomous event loop (Backend.WatchAndServe) to
 // pick the advertisement up and flip the vif to connected, as the real
 // hotplug flow works. It fails after timeout if no backend reacts.
-func (f *Frontend) Advertise(p *sim.Proc, back *Backend, timeout sim.Duration) error {
+func (f *Frontend) advertiseAndWait(p *sim.Proc, back *Backend, timeout sim.Duration) error {
 	if err := f.advertise(back); err != nil {
 		return err
 	}
@@ -158,23 +158,6 @@ func (f *Frontend) Recv(p *sim.Proc) (Packet, error) {
 		}
 		f.v.rxSig.Wait(p)
 	}
-}
-
-// TryRecv is Recv without blocking, scanning every queue once.
-func (f *Frontend) TryRecv(p *sim.Proc) (Packet, bool) {
-	if f.v == nil {
-		return Packet{}, false
-	}
-	for _, q := range f.v.queues {
-		if q.rx.Broken() {
-			return Packet{}, false
-		}
-		if pkt, ok := q.rx.TryPopRequest(); ok {
-			f.recvOne(p, q, pkt)
-			return pkt, true
-		}
-	}
-	return Packet{}, false
 }
 
 // Send transmits a packet on its flow's queue, blocking while that tx ring

@@ -79,11 +79,11 @@ func (c *Catalog) Lookup(name string) (Image, error) {
 	return im, nil
 }
 
-// Register adds an image to the library.
-func (c *Catalog) Register(im Image) { c.images[im.Name] = im }
+// register adds an image to the library.
+func (c *Catalog) register(im Image) { c.images[im.Name] = im }
 
-// Names lists registered image names (unordered).
-func (c *Catalog) Names() []string {
+// names lists registered image names (unordered).
+func (c *Catalog) names() []string {
 	out := make([]string, 0, len(c.images))
 	for n := range c.images {
 		out = append(out, n)
@@ -171,7 +171,7 @@ func DefaultCatalog() *Catalog {
 			KernelBoot: 250 * sim.Millisecond, ServiceBoot: 500 * sim.Millisecond,
 			SourceLoC: 20_000, CompiledLoC: 9_000},
 	} {
-		c.Register(im)
+		c.register(im)
 	}
 	return c
 }

@@ -64,8 +64,8 @@ func (pb *PCIBack) Start(p *sim.Proc) error {
 // Devices returns the enumerated inventory.
 func (pb *PCIBack) Devices() []hwpkg.Device { return pb.devices }
 
-// DevicesOfClass filters the inventory by class.
-func (pb *PCIBack) DevicesOfClass(c xtypes.DeviceClass) []hwpkg.Device {
+// devicesOfClass filters the inventory by class.
+func (pb *PCIBack) devicesOfClass(c xtypes.DeviceClass) []hwpkg.Device {
 	var out []hwpkg.Device
 	for _, d := range pb.devices {
 		if d.Class() == c {
@@ -75,11 +75,11 @@ func (pb *PCIBack) DevicesOfClass(c xtypes.DeviceClass) []hwpkg.Device {
 	return out
 }
 
-// ProxyConfigAccess performs a config-space access on behalf of a driver
+// proxyConfigAccess performs a config-space access on behalf of a driver
 // domain during its device initialization. Only the domain holding the
 // device (via passthrough assignment) may touch its config registers; the
 // shared bus is multiplexed through this single component (§5.3).
-func (pb *PCIBack) ProxyConfigAccess(p *sim.Proc, caller xtypes.DomID, addr xtypes.PCIAddr) error {
+func (pb *PCIBack) proxyConfigAccess(p *sim.Proc, caller xtypes.DomID, addr xtypes.PCIAddr) error {
 	if pb.destroyed {
 		return fmt.Errorf("pciback: destroyed: %w", xtypes.ErrShutdown)
 	}
@@ -103,6 +103,3 @@ func (pb *PCIBack) SelfDestruct(p *sim.Proc) error {
 	pb.Bus.ReleaseConfigSpace(pb.Dom)
 	return pb.H.SelfExit(pb.Dom)
 }
-
-// Destroyed reports whether PCIBack has self-destructed.
-func (pb *PCIBack) Destroyed() bool { return pb.destroyed }

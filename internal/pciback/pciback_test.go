@@ -40,7 +40,7 @@ func TestStartEnumerates(t *testing.T) {
 	if sim.Duration(end) < pb.Bus.EnumTime {
 		t.Fatalf("enumeration too fast: %v", sim.Duration(end))
 	}
-	if len(pb.DevicesOfClass(xtypes.DevNIC)) != 1 {
+	if len(pb.devicesOfClass(xtypes.DevNIC)) != 1 {
 		t.Fatal("NIC not classified")
 	}
 	// Inventory published in XenStore.
@@ -56,13 +56,13 @@ func TestProxyConfigAccessRequiresAssignment(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		nicAddr := pb.DevicesOfClass(xtypes.DevNIC)[0].Addr()
+		nicAddr := pb.devicesOfClass(xtypes.DevNIC)[0].Addr()
 		// Before assignment: denied.
-		if err := pb.ProxyConfigAccess(p, nb.ID, nicAddr); !errors.Is(err, xtypes.ErrPerm) {
+		if err := pb.proxyConfigAccess(p, nb.ID, nicAddr); !errors.Is(err, xtypes.ErrPerm) {
 			t.Errorf("unassigned config access: %v", err)
 		}
 		h.AssignPrivileges(hv.SystemCaller, nb.ID, hv.Assignment{PCIDevices: []xtypes.PCIAddr{nicAddr}})
-		if err := pb.ProxyConfigAccess(p, nb.ID, nicAddr); err != nil {
+		if err := pb.proxyConfigAccess(p, nb.ID, nicAddr); err != nil {
 			t.Errorf("assigned config access: %v", err)
 		}
 		if pb.ProxiedOps != 1 {
@@ -76,7 +76,7 @@ func TestSelfDestructLeavesDevicesAssigned(t *testing.T) {
 	env, h, pb, nb := setup(t)
 	env.Spawn("test", func(p *sim.Proc) {
 		pb.Start(p)
-		nicAddr := pb.DevicesOfClass(xtypes.DevNIC)[0].Addr()
+		nicAddr := pb.devicesOfClass(xtypes.DevNIC)[0].Addr()
 		h.AssignPrivileges(hv.SystemCaller, nb.ID, hv.Assignment{PCIDevices: []xtypes.PCIAddr{nicAddr}})
 		if err := pb.SelfDestruct(p); err != nil {
 			t.Error(err)
@@ -93,7 +93,7 @@ func TestSelfDestructLeavesDevicesAssigned(t *testing.T) {
 			t.Error("device assignment lost")
 		}
 		// Further proxying is impossible — steady state needs no config access.
-		if err := pb.ProxyConfigAccess(p, nb.ID, nicAddr); !errors.Is(err, xtypes.ErrShutdown) {
+		if err := pb.proxyConfigAccess(p, nb.ID, nicAddr); !errors.Is(err, xtypes.ErrShutdown) {
 			t.Errorf("proxy after destruct: %v", err)
 		}
 	})

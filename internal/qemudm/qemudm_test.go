@@ -55,7 +55,7 @@ func setup(t *testing.T) *harness {
 	env.Spawn("boot", func(p *sim.Proc) {
 		blk.Start(p)
 		blk.CreateImage("hvm-disk", 1024)
-		blk.CreateVbd(qd.ID, "hvm-disk")
+		blk.CreateVbdQueues(qd.ID, "hvm-disk", 1)
 		if err := q.Blk.Connect(p, blk); err != nil {
 			t.Error(err)
 			return
@@ -75,7 +75,7 @@ func TestEmulatedDiskIO(t *testing.T) {
 		if err := hn.q.DiskWrite(p, 1<<20, true); err != nil {
 			t.Error(err)
 		}
-		if err := hn.q.DiskRead(p, 1<<20, true); err != nil {
+		if err := hn.q.diskRead(p, 1<<20, true); err != nil {
 			t.Error(err)
 		}
 	})
@@ -118,7 +118,7 @@ func TestEscapeContained(t *testing.T) {
 		// Mapping its own guest is legitimate (that is its job).
 		ownErr = hn.h.MapForeign(hn.q.Dom, hn.guest.ID, 0)
 		// Mapping anyone else must fail: the §6.2.1 containment property.
-		escErr = hn.q.AttemptEscape(p, hn.victim.ID)
+		escErr = hn.q.attemptEscape(p, hn.victim.ID)
 	})
 	hn.env.RunFor(sim.Second)
 	hn.env.Shutdown()

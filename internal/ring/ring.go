@@ -112,12 +112,6 @@ func New[Req, Resp any](env *sim.Env, slots int) *Ring[Req, Resp] {
 	}
 }
 
-// Slots reports the ring capacity.
-func (r *Ring[Req, Resp]) Slots() int { return r.slots }
-
-// Inflight reports slots currently in use.
-func (r *Ring[Req, Resp]) Inflight() int { return r.used }
-
 // Full reports whether a request push would block.
 func (r *Ring[Req, Resp]) Full() bool { return r.used >= r.slots }
 

@@ -47,8 +47,8 @@ func TestRequestResponseRoundTrip(t *testing.T) {
 	if len(got) != 3 || got[0] != 0 || got[2] != 2 {
 		t.Fatalf("responses = %v", got)
 	}
-	if r.Inflight() != 0 {
-		t.Fatalf("inflight = %d", r.Inflight())
+	if r.used != 0 {
+		t.Fatalf("inflight = %d", r.used)
 	}
 }
 
@@ -216,8 +216,8 @@ func TestBatchPushSingleNotify(t *testing.T) {
 	if backNotified != 1 || frontNotified != 1 {
 		t.Fatalf("notifies back=%d front=%d", backNotified, frontNotified)
 	}
-	if r.Inflight() != 0 {
-		t.Fatalf("inflight = %d", r.Inflight())
+	if r.used != 0 {
+		t.Fatalf("inflight = %d", r.used)
 	}
 }
 
@@ -272,8 +272,8 @@ func TestBatchBlockingRoundTrip(t *testing.T) {
 	if served != total {
 		t.Fatalf("served = %d", served)
 	}
-	if r.Inflight() != 0 {
-		t.Fatalf("inflight = %d", r.Inflight())
+	if r.used != 0 {
+		t.Fatalf("inflight = %d", r.used)
 	}
 }
 
@@ -321,7 +321,7 @@ func TestResetRestoresService(t *testing.T) {
 		r.TryPushRequest(req{1})
 		r.Break()
 		r.Reset()
-		if r.Broken() || r.Inflight() != 0 {
+		if r.Broken() || r.used != 0 {
 			t.Error("reset did not clear state")
 		}
 		if !r.TryPushRequest(req{2}) {
@@ -364,7 +364,7 @@ func TestSlotAccountingProperty(t *testing.T) {
 						consumed++
 					}
 				}
-				if r.Inflight() != pushed-consumed || r.Inflight() > r.Slots() {
+				if r.used != pushed-consumed || r.used > r.slots {
 					okAll = false
 					return
 				}
@@ -447,14 +447,14 @@ func TestBrokenRingRefusesAllVariants(t *testing.T) {
 				r.TryPushRequest(req{2})
 				r.TryPopRequest()
 				r.PushResponse(resp{1})
-				before := r.Inflight()
+				before := r.used
 				r.Break()
 				if tc.op(p, r) {
 					t.Errorf("%s succeeded on broken ring", tc.name)
 				}
-				if r.Inflight() != before {
+				if r.used != before {
 					t.Errorf("%s changed slot accounting on broken ring: %d -> %d",
-						tc.name, before, r.Inflight())
+						tc.name, before, r.used)
 				}
 			})
 			env.RunAll()

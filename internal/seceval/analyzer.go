@@ -145,8 +145,8 @@ func (a *Analyzer) reachOf(comp xtypes.DomID) (whole bool, reached []xtypes.DomI
 	return false, reached
 }
 
-// Analyze computes the verdict for one vulnerability.
-func (a *Analyzer) Analyze(v Vuln) Finding {
+// analyze computes the verdict for one vulnerability.
+func (a *Analyzer) analyze(v Vuln) Finding {
 	f := Finding{Vuln: v}
 	if v.FixedInVersion {
 		f.Outcome = OutNotApplicable
@@ -219,7 +219,7 @@ type Report struct {
 func (a *Analyzer) Run() Report {
 	rep := Report{ByOutcome: make(map[Outcome]int)}
 	for _, v := range GuestSourced() {
-		f := a.Analyze(v)
+		f := a.analyze(v)
 		rep.Findings = append(rep.Findings, f)
 		rep.ByOutcome[f.Outcome]++
 	}

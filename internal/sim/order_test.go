@@ -25,7 +25,7 @@ func runMixedModel() (uint64, int) {
 	h := fnv.New64a()
 	n := 0
 	env := NewEnv(3)
-	env.SetTrace(func(ev TraceEvent) {
+	env.setTrace(func(ev TraceEvent) {
 		n++
 		fmt.Fprintf(h, "%d %s %s\n", ev.At, ev.Kind, ev.Proc)
 	})

@@ -223,11 +223,8 @@ func (r *Resource) UseChunked(p *Proc, d, quantum Duration) {
 	}
 }
 
-// InUse reports the number of currently held slots.
-func (r *Resource) InUse() int { return r.inUse }
-
-// BusyTime reports accumulated busy slot-time.
-func (r *Resource) BusyTime() Duration {
+// busyTime reports accumulated busy slot-time.
+func (r *Resource) busyTime() Duration {
 	r.account()
 	return r.busy
 }

@@ -19,10 +19,10 @@ func (t TraceEvent) String() string {
 	return fmt.Sprintf("%.6fs %s %s", t.At.Seconds(), t.Kind, t.Proc)
 }
 
-// SetTrace installs a scheduler tracing hook, or removes it when fn is nil.
+// setTrace installs a scheduler tracing hook, or removes it when fn is nil.
 // Tracing exists for debugging model timing (it is how this repository's own
 // clock-overrun bug was found); it has no effect on simulation behaviour.
-func (e *Env) SetTrace(fn func(TraceEvent)) { e.trace = fn }
+func (e *Env) setTrace(fn func(TraceEvent)) { e.trace = fn }
 
 // emitTrace reports a scheduler action to the hook, if installed.
 func (e *Env) emitTrace(kind, proc string) {

@@ -200,8 +200,8 @@ func (e *Engine) Stats(dom xtypes.DomID) (Stats, bool) {
 	return ent.stats, true
 }
 
-// Managed lists the domains under restart management.
-func (e *Engine) Managed() []xtypes.DomID {
+// managed lists the domains under restart management.
+func (e *Engine) managed() []xtypes.DomID {
 	out := make([]xtypes.DomID, 0, len(e.entries))
 	for d := range e.entries {
 		out = append(out, d)

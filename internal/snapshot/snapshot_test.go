@@ -136,7 +136,7 @@ func TestUnmanageStopsTimer(t *testing.T) {
 	if comp.restarts != 1 {
 		t.Fatalf("restarts after unmanage = %d", comp.restarts)
 	}
-	if len(eng.Managed()) != 0 {
+	if len(eng.managed()) != 0 {
 		t.Fatal("still managed")
 	}
 }

@@ -46,9 +46,9 @@ const spanLimit = 8192
 // NewTracer returns an empty tracer.
 func NewTracer() *Tracer { return &Tracer{limit: spanLimit} }
 
-// Start opens a root span for the given domain at time now. Returns nil on
-// a nil tracer or when the span buffer is full.
-func (t *Tracer) Start(domain, name string, now sim.Time) *Span {
+// startRoot opens a root span for the given domain at time now. Returns nil
+// on a nil tracer or when the span buffer is full.
+func (t *Tracer) startRoot(domain, name string, now sim.Time) *Span {
 	return t.start(domain, name, 0, now)
 }
 
@@ -154,10 +154,10 @@ type SpanNode struct {
 	Children []*SpanNode  `json:"children,omitempty"`
 }
 
-// Tree reassembles the recorded spans for one domain into parent/child
+// tree reassembles the recorded spans for one domain into parent/child
 // trees, returning the roots in start order. A child whose parent belongs
 // to another domain (or was dropped) becomes a root.
-func (t *Tracer) Tree(domain string) []*SpanNode {
+func (t *Tracer) tree(domain string) []*SpanNode {
 	if t == nil {
 		return nil
 	}
@@ -193,7 +193,7 @@ func (r *Registry) Tracer() *Tracer {
 	return r.tracer
 }
 
-// StartSpan is shorthand for Tracer().Start.
+// StartSpan is shorthand for Tracer().startRoot.
 func (r *Registry) StartSpan(domain, name string, now sim.Time) *Span {
-	return r.Tracer().Start(domain, name, now)
+	return r.Tracer().startRoot(domain, name, now)
 }

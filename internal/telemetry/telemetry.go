@@ -182,8 +182,8 @@ func (g *Gauge) Set(v float64) {
 	g.mu.Unlock()
 }
 
-// Add shifts the value by d (no-op on nil).
-func (g *Gauge) Add(d float64) {
+// add shifts the value by d (no-op on nil).
+func (g *Gauge) add(d float64) {
 	if g == nil {
 		return
 	}
@@ -270,9 +270,9 @@ func (h *Histogram) Sum() float64 {
 	return h.sum
 }
 
-// Quantile estimates the q-th quantile (0 <= q <= 1). Returns 0 when the
+// quantile estimates the q-th quantile (0 <= q <= 1). Returns 0 when the
 // histogram is nil or empty.
-func (h *Histogram) Quantile(q float64) float64 {
+func (h *Histogram) quantile(q float64) float64 {
 	if h == nil {
 		return 0
 	}

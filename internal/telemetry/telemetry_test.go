@@ -18,9 +18,9 @@ func TestNilRegistryIsInert(t *testing.T) {
 	c.Inc()
 	c.Add(5)
 	g.Set(1)
-	g.Add(2)
+	g.add(2)
 	h.Observe(3)
-	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || h.Sum() != 0 || h.Quantile(0.5) != 0 {
+	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || h.Sum() != 0 || h.quantile(0.5) != 0 {
 		t.Fatalf("nil handles recorded something: c=%d g=%g h=%d", c.Value(), g.Value(), h.Count())
 	}
 	sp := r.StartSpan("dom", "op", 0)
@@ -66,13 +66,13 @@ func TestHistogramExactAndQuantiles(t *testing.T) {
 	if math.Abs(h.Sum()-want) > 1e-9 {
 		t.Fatalf("sum = %g, want %g", h.Sum(), want)
 	}
-	if q := h.Quantile(0); q < 0.5 || q > 1 {
+	if q := h.quantile(0); q < 0.5 || q > 1 {
 		t.Fatalf("p0 = %g, want within first bucket [0.5,1]", q)
 	}
-	if q := h.Quantile(1); q != 20 {
+	if q := h.quantile(1); q != 20 {
 		t.Fatalf("p100 = %g, want observed max 20", q)
 	}
-	if q := h.Quantile(0.5); q < 1 || q > 2 {
+	if q := h.quantile(0.5); q < 1 || q > 2 {
 		t.Fatalf("p50 = %g, want within (1,2] bucket", q)
 	}
 	// All mass in one bucket: quantile stays clamped to [min,max].
@@ -80,7 +80,7 @@ func TestHistogramExactAndQuantiles(t *testing.T) {
 	h2.Observe(3)
 	h2.Observe(3)
 	for _, q := range []float64{0.5, 0.95, 0.99} {
-		if got := h2.Quantile(q); got < 3-1e-9 || got > 3+1e-9 {
+		if got := h2.quantile(q); got < 3-1e-9 || got > 3+1e-9 {
 			t.Fatalf("Quantile(%g) = %g, want 3", q, got)
 		}
 	}
@@ -108,14 +108,14 @@ func TestSpansNestAndExport(t *testing.T) {
 		t.Fatalf("children not linked to root: %+v", ev)
 	}
 
-	tree := r.Tracer().Tree("builder")
+	tree := r.Tracer().tree("builder")
 	if len(tree) != 1 || len(tree[0].Children) != 2 {
 		t.Fatalf("builder tree shape wrong: %+v", tree)
 	}
 	if tree[0].Children[1].Name != "boot" || tree[0].Children[1].Duration != 250 {
 		t.Fatalf("child node wrong: %+v", tree[0].Children[1])
 	}
-	if got := r.Tracer().Tree("xenstore"); len(got) != 1 || got[0].Name != "restart" {
+	if got := r.Tracer().tree("xenstore"); len(got) != 1 || got[0].Name != "restart" {
 		t.Fatalf("xenstore tree wrong: %+v", got)
 	}
 	// Double EndAt keeps the first end.
@@ -129,7 +129,7 @@ func TestTracerBufferBounded(t *testing.T) {
 	tr := NewTracer()
 	tr.limit = 4
 	for i := 0; i < 10; i++ {
-		sp := tr.Start("d", "op", sim.Time(i))
+		sp := tr.startRoot("d", "op", sim.Time(i))
 		sp.EndAt(sim.Time(i + 1))
 	}
 	if got := len(tr.Events()); got != 4 {

@@ -35,13 +35,13 @@ const chromePID = 1
 func usOf(t sim.Time) float64        { return float64(t) / float64(sim.Microsecond) }
 func usOfDur(d sim.Duration) float64 { return float64(d) / float64(sim.Microsecond) }
 
-// ChromeTrace renders span events as a trace_event JSON document. Each span
+// chromeTrace renders span events as a trace_event JSON document. Each span
 // domain becomes one named "thread" (tid assigned in first-appearance
 // order), every span a complete ("X") event on its domain's track, so
 // parent/child nesting and cross-domain overlap are visible directly.
 // Spans still open at export time are flagged with args.open and rendered
 // with zero duration rather than dropped.
-func ChromeTrace(events []SpanEvent) ([]byte, error) {
+func chromeTrace(events []SpanEvent) ([]byte, error) {
 	tids := make(map[string]int)
 	var out []ChromeTraceEvent
 	out = append(out, ChromeTraceEvent{
@@ -79,5 +79,5 @@ func ChromeTrace(events []SpanEvent) ([]byte, error) {
 // ChromeTrace exports the tracer's recorded spans; empty (but valid) JSON
 // on a nil tracer.
 func (t *Tracer) ChromeTrace() ([]byte, error) {
-	return ChromeTrace(t.Events())
+	return chromeTrace(t.Events())
 }

@@ -9,15 +9,15 @@ import (
 
 func TestChromeTraceExport(t *testing.T) {
 	tr := NewTracer()
-	root := tr.Start("builder", "build-batch[2]", sim.Time(10*sim.Millisecond))
+	root := tr.startRoot("builder", "build-batch[2]", sim.Time(10*sim.Millisecond))
 	c0 := root.StartChild("construct:a", sim.Time(10*sim.Millisecond))
 	c0.EndAt(sim.Time(12 * sim.Millisecond))
 	b0 := root.StartChild("boot:a", sim.Time(12*sim.Millisecond))
-	other := tr.Start("netback", "ring-setup", sim.Time(13*sim.Millisecond))
+	other := tr.startRoot("netback", "ring-setup", sim.Time(13*sim.Millisecond))
 	other.EndAt(sim.Time(14 * sim.Millisecond))
 	b0.EndAt(sim.Time(20 * sim.Millisecond))
 	root.EndAt(sim.Time(20 * sim.Millisecond))
-	open := tr.Start("builder", "never-ends", sim.Time(21*sim.Millisecond))
+	open := tr.startRoot("builder", "never-ends", sim.Time(21*sim.Millisecond))
 	_ = open
 
 	raw, err := tr.ChromeTrace()

@@ -33,10 +33,10 @@ type HostileResult struct {
 	Elapsed     sim.Duration
 }
 
-// Hostile drives the mix from vm against victim. Legitimate traffic uses
+// hostile drives the mix from vm against victim. Legitimate traffic uses
 // the guest's real driver paths (so backend load stays plausible); probes
 // go straight at the hypervisor's privileged surface.
-func Hostile(p *sim.Proc, vm *guest.VM, victim xtypes.DomID, cfg HostileConfig) (HostileResult, error) {
+func hostile(p *sim.Proc, vm *guest.VM, victim xtypes.DomID, cfg HostileConfig) (HostileResult, error) {
 	if cfg.Probes <= 0 {
 		cfg.Probes = 8
 	}

@@ -25,7 +25,7 @@ func TestHostileWorkloadFullyDeniedOnXoar(t *testing.T) {
 		if err != nil {
 			return
 		}
-		res, err = Hostile(p, vm, victim.Dom, HostileConfig{Seed: 7, Probes: 16, LegitPerProbe: 3})
+		res, err = hostile(p, vm, victim.Dom, HostileConfig{Seed: 7, Probes: 16, LegitPerProbe: 3})
 	})
 	env.RunFor(600 * sim.Second)
 	if err != nil {
@@ -43,7 +43,7 @@ func TestHostileWorkloadFullyDeniedOnXoar(t *testing.T) {
 	// Determinism: the same seed replays the same mix.
 	var res2 HostileResult
 	env.Spawn("hostile-2", func(p *sim.Proc) {
-		res2, err = Hostile(p, vm, victim.Dom, HostileConfig{Seed: 7, Probes: 16, LegitPerProbe: 3})
+		res2, err = hostile(p, vm, victim.Dom, HostileConfig{Seed: 7, Probes: 16, LegitPerProbe: 3})
 	})
 	env.RunFor(600 * sim.Second)
 	if err != nil {

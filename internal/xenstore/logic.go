@@ -40,12 +40,6 @@ type Conn struct {
 	Events *sim.Chan[WatchEvent]
 }
 
-// Dom returns the connection's domain.
-func (c *Conn) Dom() xtypes.DomID { return c.dom }
-
-// Privileged reports whether the connection bypasses node permissions.
-func (c *Conn) Privileged() bool { return c.privileged }
-
 // tx is an in-flight transaction: an overlay of uncommitted writes plus the
 // set of paths read, for conflict detection at commit.
 type tx struct {
@@ -133,11 +127,8 @@ func (l *Logic) addOwned(dom xtypes.DomID, delta int) {
 	}
 }
 
-// SetQuota replaces the per-domain quota.
-func (l *Logic) SetQuota(q Quota) { l.quota = q }
-
-// State returns the attached State.
-func (l *Logic) State() *State { return l.state }
+// setQuota replaces the per-domain quota.
+func (l *Logic) setQuota(q Quota) { l.quota = q }
 
 // Connect returns the connection for dom, creating it if needed.
 func (l *Logic) Connect(dom xtypes.DomID, privileged bool) *Conn {
@@ -598,10 +589,10 @@ func (c *Conn) WaitWatch(p *sim.Proc) (WatchEvent, bool) {
 	return c.Events.Recv(p)
 }
 
-// WaitValue blocks p until path holds want, consuming watch events for the
+// waitValue blocks p until path holds want, consuming watch events for the
 // connection. The caller must have registered a watch covering path. This is
 // the idiom split drivers use to wait for state transitions.
-func (c *Conn) WaitValue(p *sim.Proc, path, want string) bool {
+func (c *Conn) waitValue(p *sim.Proc, path, want string) bool {
 	for {
 		if v, err := c.Read(TxNone, path); err == nil && v == want {
 			return true
@@ -612,8 +603,8 @@ func (c *Conn) WaitValue(p *sim.Proc, path, want string) bool {
 	}
 }
 
-// WaitValueTimeout is WaitValue with a deadline.
-func (c *Conn) WaitValueTimeout(p *sim.Proc, path, want string, d sim.Duration) bool {
+// waitValueTimeout is waitValue with a deadline.
+func (c *Conn) waitValueTimeout(p *sim.Proc, path, want string, d sim.Duration) bool {
 	deadline := c.logic.env.Now().Add(d)
 	for {
 		if v, err := c.Read(TxNone, path); err == nil && v == want {

@@ -35,8 +35,8 @@ type persistImage struct {
 	Nodes     []persistNode `json:"nodes"`
 }
 
-// Save writes the State's contents to w.
-func (s *State) Save(w io.Writer) error {
+// save writes the State's contents to w.
+func (s *State) save(w io.Writer) error {
 	img := persistImage{Version: 1, Gen: s.gen, Mutations: s.mutations}
 	var walk func(prefix string, n *node)
 	walk = func(prefix string, n *node) {
@@ -66,8 +66,8 @@ func (s *State) Save(w io.Writer) error {
 	return enc.Encode(img)
 }
 
-// LoadState reconstructs a State from a Save image.
-func LoadState(r io.Reader) (*State, error) {
+// loadState reconstructs a State from a Save image.
+func loadState(r io.Reader) (*State, error) {
 	var img persistImage
 	if err := json.NewDecoder(r).Decode(&img); err != nil {
 		return nil, fmt.Errorf("xenstore: load: %w", err)

@@ -21,16 +21,16 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	c.SetPerms("/local/domain/5/name", Perms{Owner: 5, Read: []xtypes.DomID{7, xtypes.DomIDNone}})
 
 	var buf bytes.Buffer
-	if err := l.State().Save(&buf); err != nil {
+	if err := l.state.save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	restored, err := LoadState(&buf)
+	restored, err := loadState(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	// Identical dumps.
-	a, b := l.State().Dump(), restored.Dump()
+	a, b := l.state.dump(), restored.dump()
 	if len(a) != len(b) {
 		t.Fatalf("dump sizes %d vs %d", len(a), len(b))
 	}
@@ -58,10 +58,10 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 }
 
 func TestLoadRejectsGarbage(t *testing.T) {
-	if _, err := LoadState(strings.NewReader("not json")); err == nil {
+	if _, err := loadState(strings.NewReader("not json")); err == nil {
 		t.Fatal("garbage accepted")
 	}
-	if _, err := LoadState(strings.NewReader(`{"version":9,"nodes":[]}`)); !errors.Is(err, xtypes.ErrInvalid) {
+	if _, err := loadState(strings.NewReader(`{"version":9,"nodes":[]}`)); !errors.Is(err, xtypes.ErrInvalid) {
 		t.Fatalf("future version accepted: %v", err)
 	}
 }
@@ -83,14 +83,14 @@ func TestSaveLoadProperty(t *testing.T) {
 			}
 		}
 		var buf bytes.Buffer
-		if err := l.State().Save(&buf); err != nil {
+		if err := l.state.save(&buf); err != nil {
 			return false
 		}
-		restored, err := LoadState(&buf)
+		restored, err := loadState(&buf)
 		if err != nil {
 			return false
 		}
-		a, b := l.State().Dump(), restored.Dump()
+		a, b := l.state.dump(), restored.dump()
 		if len(a) != len(b) {
 			return false
 		}
@@ -124,7 +124,7 @@ func TestPerRequestRestartPolicy(t *testing.T) {
 	if v, err := c.Read(TxNone, "/svc/key"); err != nil || v != "v" {
 		t.Fatalf("read = %q, %v", v, err)
 	}
-	if l.State().WatchCount(0) != 1 {
+	if l.state.WatchCount(0) != 1 {
 		t.Fatal("watch lost")
 	}
 	// Rm also triggers a restart.

@@ -198,13 +198,10 @@ func (s *State) WatchCount(dom xtypes.DomID) int {
 	return n
 }
 
-// Mutations reports the number of committed writes since creation.
-func (s *State) Mutations() int { return s.mutations }
-
-// Dump returns all paths and values in sorted order. The XenStore-State
+// dump returns all paths and values in sorted order. The XenStore-State
 // shard uses this to hand contents back to a rebooted Logic, and tests use
 // it to compare trees.
-func (s *State) Dump() []struct{ Path, Value string } {
+func (s *State) dump() []struct{ Path, Value string } {
 	var out []struct{ Path, Value string }
 	var walk func(prefix string, n *node)
 	walk = func(prefix string, n *node) {

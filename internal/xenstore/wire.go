@@ -83,12 +83,11 @@ type Server struct {
 	dom      xtypes.DomID // the serving (Logic) domain
 	cpu      Computer
 	Handled  int64
-	procs    []*sim.Proc
 	eventing bool
 }
 
-// NewServer returns a wire server for logic running in dom.
-func NewServer(logic *Logic, dom xtypes.DomID, cpu Computer) *Server {
+// newServer returns a wire server for logic running in dom.
+func newServer(logic *Logic, dom xtypes.DomID, cpu Computer) *Server {
 	return &Server{logic: logic, dom: dom, cpu: cpu}
 }
 
@@ -100,9 +99,9 @@ type Transport struct {
 	events *ring.Ring[Msg, struct{}]
 }
 
-// Serve attaches the server to a new transport for client domain dom and
+// serve attaches the server to a new transport for client domain dom and
 // starts its pump processes. The returned Client is the guest-side stub.
-func (s *Server) Serve(env *sim.Env, client xtypes.DomID, privileged bool) *Client {
+func (s *Server) serve(env *sim.Env, client xtypes.DomID, privileged bool) *Client {
 	tr := &Transport{
 		req:    ring.New[Msg, Msg](env, ring.DefaultSlots),
 		events: ring.New[Msg, struct{}](env, ring.DefaultSlots),
@@ -110,7 +109,7 @@ func (s *Server) Serve(env *sim.Env, client xtypes.DomID, privileged bool) *Clie
 	conn := s.logic.Connect(client, privileged)
 
 	// Request pump: pop, charge CPU, dispatch, reply.
-	s.procs = append(s.procs, env.Spawn(fmt.Sprintf("xenstored-%v", client), func(p *sim.Proc) {
+	env.Spawn(fmt.Sprintf("xenstored-%v", client), func(p *sim.Proc) {
 		for {
 			req, err := tr.req.PopRequest(p)
 			if err != nil {
@@ -134,9 +133,9 @@ func (s *Server) Serve(env *sim.Env, client xtypes.DomID, privileged bool) *Clie
 					Observe(float64(p.Now().Sub(start)) / float64(sim.Microsecond))
 			}
 		}
-	}))
+	})
 	// Event pump: forward watch firings as unsolicited messages.
-	s.procs = append(s.procs, env.Spawn(fmt.Sprintf("xenstored-events-%v", client), func(p *sim.Proc) {
+	env.Spawn(fmt.Sprintf("xenstored-events-%v", client), func(p *sim.Proc) {
 		for {
 			ev, ok := conn.Events.Recv(p)
 			if !ok {
@@ -153,15 +152,8 @@ func (s *Server) Serve(env *sim.Env, client xtypes.DomID, privileged bool) *Clie
 				}
 			}
 		}
-	}))
+	})
 	return &Client{dom: client, tr: tr, env: env}
-}
-
-// Stop kills the server pumps (all connections).
-func (s *Server) Stop() {
-	for _, p := range s.procs {
-		p.Kill()
-	}
 }
 
 // dispatch executes one request against the connection.
@@ -252,50 +244,50 @@ func (c *Client) call(p *sim.Proc, req Msg) (Msg, error) {
 	return reply, nil
 }
 
-// Read fetches a value.
-func (c *Client) Read(p *sim.Proc, tx TxID, path string) (string, error) {
+// read fetches a value.
+func (c *Client) read(p *sim.Proc, tx TxID, path string) (string, error) {
 	r, err := c.call(p, Msg{Type: MsgRead, Tx: tx, Path: path})
 	return r.Value, err
 }
 
-// Write stores a value.
-func (c *Client) Write(p *sim.Proc, tx TxID, path, value string) error {
+// write stores a value.
+func (c *Client) write(p *sim.Proc, tx TxID, path, value string) error {
 	_, err := c.call(p, Msg{Type: MsgWrite, Tx: tx, Path: path, Value: value})
 	return err
 }
 
-// Rm removes a subtree.
-func (c *Client) Rm(p *sim.Proc, tx TxID, path string) error {
+// rm removes a subtree.
+func (c *Client) rm(p *sim.Proc, tx TxID, path string) error {
 	_, err := c.call(p, Msg{Type: MsgRm, Tx: tx, Path: path})
 	return err
 }
 
-// Directory lists children.
-func (c *Client) Directory(p *sim.Proc, tx TxID, path string) ([]string, error) {
+// directory lists children.
+func (c *Client) directory(p *sim.Proc, tx TxID, path string) ([]string, error) {
 	r, err := c.call(p, Msg{Type: MsgDirectory, Tx: tx, Path: path})
 	return r.Values, err
 }
 
-// Watch registers for events on path.
-func (c *Client) Watch(p *sim.Proc, path, token string) error {
+// watch registers for events on path.
+func (c *Client) watch(p *sim.Proc, path, token string) error {
 	_, err := c.call(p, Msg{Type: MsgWatch, Path: path, Token: token})
 	return err
 }
 
-// TxStart opens a transaction.
-func (c *Client) TxStart(p *sim.Proc) (TxID, error) {
+// txStart opens a transaction.
+func (c *Client) txStart(p *sim.Proc) (TxID, error) {
 	r, err := c.call(p, Msg{Type: MsgTxStart})
 	return r.Tx, err
 }
 
-// TxEnd commits or aborts a transaction.
-func (c *Client) TxEnd(p *sim.Proc, tx TxID, commit bool) error {
+// txEnd commits or aborts a transaction.
+func (c *Client) txEnd(p *sim.Proc, tx TxID, commit bool) error {
 	_, err := c.call(p, Msg{Type: MsgTxEnd, Tx: tx, Commit: commit})
 	return err
 }
 
-// NextEvent blocks until an unsolicited watch event arrives.
-func (c *Client) NextEvent(p *sim.Proc) (WatchEvent, error) {
+// nextEvent blocks until an unsolicited watch event arrives.
+func (c *Client) nextEvent(p *sim.Proc) (WatchEvent, error) {
 	m, err := c.tr.events.PopRequest(p)
 	if err != nil {
 		return WatchEvent{}, err

@@ -27,23 +27,23 @@ func wireRigFull(t *testing.T) (*sim.Env, *Server, *Client, *nullComputer, *Logi
 	env := sim.NewEnv(1)
 	logic := NewLogic(env, NewState())
 	cpu := &nullComputer{}
-	srv := NewServer(logic, 2, cpu)
-	cl := srv.Serve(env, 0, true) // privileged client, like a toolstack
+	srv := newServer(logic, 2, cpu)
+	cl := srv.serve(env, 0, true) // privileged client, like a toolstack
 	return env, srv, cl, cpu, logic
 }
 
 func TestWireReadWriteRoundTrip(t *testing.T) {
 	env, srv, cl, cpu := wireRig(t)
 	env.Spawn("client", func(p *sim.Proc) {
-		if err := cl.Write(p, TxNone, "/local/domain/5/name", "g5"); err != nil {
+		if err := cl.write(p, TxNone, "/local/domain/5/name", "g5"); err != nil {
 			t.Error(err)
 			return
 		}
-		v, err := cl.Read(p, TxNone, "/local/domain/5/name")
+		v, err := cl.read(p, TxNone, "/local/domain/5/name")
 		if err != nil || v != "g5" {
 			t.Errorf("read = %q, %v", v, err)
 		}
-		names, err := cl.Directory(p, TxNone, "/local/domain")
+		names, err := cl.directory(p, TxNone, "/local/domain")
 		if err != nil || len(names) != 1 || names[0] != "5" {
 			t.Errorf("directory = %v, %v", names, err)
 		}
@@ -61,11 +61,11 @@ func TestWireReadWriteRoundTrip(t *testing.T) {
 func TestWireErrorsCrossTheRing(t *testing.T) {
 	env, _, cl, _ := wireRig(t)
 	env.Spawn("client", func(p *sim.Proc) {
-		_, err := cl.Read(p, TxNone, "/missing")
+		_, err := cl.read(p, TxNone, "/missing")
 		if err == nil || !strings.Contains(err.Error(), "not found") {
 			t.Errorf("missing read over wire: %v", err)
 		}
-		if err := cl.Rm(p, TxNone, "bad-path"); err == nil {
+		if err := cl.rm(p, TxNone, "bad-path"); err == nil {
 			t.Error("bad path accepted over wire")
 		}
 	})
@@ -76,19 +76,19 @@ func TestWireErrorsCrossTheRing(t *testing.T) {
 func TestWireTransactions(t *testing.T) {
 	env, _, cl, _ := wireRig(t)
 	env.Spawn("client", func(p *sim.Proc) {
-		tx, err := cl.TxStart(p)
+		tx, err := cl.txStart(p)
 		if err != nil || tx == TxNone {
 			t.Errorf("txstart: %v %v", tx, err)
 			return
 		}
-		cl.Write(p, tx, "/a", "1")
-		if v, _ := cl.Read(p, TxNone, "/a"); v != "" {
+		cl.write(p, tx, "/a", "1")
+		if v, _ := cl.read(p, TxNone, "/a"); v != "" {
 			t.Error("dirty read over wire")
 		}
-		if err := cl.TxEnd(p, tx, true); err != nil {
+		if err := cl.txEnd(p, tx, true); err != nil {
 			t.Error(err)
 		}
-		if v, _ := cl.Read(p, TxNone, "/a"); v != "1" {
+		if v, _ := cl.read(p, TxNone, "/a"); v != "1" {
 			t.Error("commit lost over wire")
 		}
 	})
@@ -100,12 +100,12 @@ func TestWireWatchEvents(t *testing.T) {
 	env, _, cl, _ := wireRig(t)
 	var events []WatchEvent
 	env.Spawn("watcher", func(p *sim.Proc) {
-		if err := cl.Watch(p, "/dev", "tok"); err != nil {
+		if err := cl.watch(p, "/dev", "tok"); err != nil {
 			t.Error(err)
 			return
 		}
 		for i := 0; i < 2; i++ { // initial synthetic + one real
-			ev, err := cl.NextEvent(p)
+			ev, err := cl.nextEvent(p)
 			if err != nil {
 				t.Error(err)
 				return
@@ -115,7 +115,7 @@ func TestWireWatchEvents(t *testing.T) {
 	})
 	env.Spawn("writer", func(p *sim.Proc) {
 		p.Sleep(5 * sim.Millisecond)
-		cl.Write(p, TxNone, "/dev/vif/0", "up")
+		cl.write(p, TxNone, "/dev/vif/0", "up")
 	})
 	env.RunFor(sim.Second)
 	env.Shutdown()
@@ -130,12 +130,12 @@ func TestWireWatchEvents(t *testing.T) {
 func TestWireUnprivilegedClientEnforced(t *testing.T) {
 	env := sim.NewEnv(1)
 	logic := NewLogic(env, NewState())
-	srv := NewServer(logic, 2, nil)
-	priv := srv.Serve(env, 0, true)
-	guest := srv.Serve(env, 5, false)
+	srv := newServer(logic, 2, nil)
+	priv := srv.serve(env, 0, true)
+	guest := srv.serve(env, 5, false)
 	env.Spawn("test", func(p *sim.Proc) {
-		priv.Write(p, TxNone, "/secret", "root-only")
-		if _, err := guest.Read(p, TxNone, "/secret"); err == nil {
+		priv.write(p, TxNone, "/secret", "root-only")
+		if _, err := guest.read(p, TxNone, "/secret"); err == nil {
 			t.Error("unprivileged wire client read a private node")
 		}
 	})
@@ -146,15 +146,15 @@ func TestWireUnprivilegedClientEnforced(t *testing.T) {
 func TestWireSurvivesLogicRestart(t *testing.T) {
 	env, _, cl, _, logic := wireRigFull(t)
 	env.Spawn("client", func(p *sim.Proc) {
-		cl.Write(p, TxNone, "/persist", "v")
-		tx, _ := cl.TxStart(p)
+		cl.write(p, TxNone, "/persist", "v")
+		tx, _ := cl.txStart(p)
 		// Logic microreboots under the live connection.
 		logic.Restart()
 		// The transaction is gone; the data is not; the ring still works.
-		if err := cl.TxEnd(p, tx, true); err == nil {
+		if err := cl.txEnd(p, tx, true); err == nil {
 			t.Error("transaction survived a Logic restart")
 		}
-		if v, err := cl.Read(p, TxNone, "/persist"); err != nil || v != "v" {
+		if v, err := cl.read(p, TxNone, "/persist"); err != nil || v != "v" {
 			t.Errorf("data after restart = %q, %v", v, err)
 		}
 	})

@@ -289,7 +289,7 @@ func TestLogicRestartAbortsTransactionsKeepsData(t *testing.T) {
 		t.Fatalf("data lost across Logic restart: %q", v)
 	}
 	// Watches survived too.
-	if l.State().WatchCount(0) != 1 {
+	if l.state.WatchCount(0) != 1 {
 		t.Fatal("watch registry lost across Logic restart")
 	}
 	if l.Restarts() != 1 {
@@ -299,7 +299,7 @@ func TestLogicRestartAbortsTransactionsKeepsData(t *testing.T) {
 
 func TestQuotas(t *testing.T) {
 	_, l := newLogic()
-	l.SetQuota(Quota{MaxNodes: 3, MaxWatches: 1, MaxTransactions: 1})
+	l.setQuota(Quota{MaxNodes: 3, MaxWatches: 1, MaxTransactions: 1})
 	priv := l.Connect(0, true)
 	priv.Write(TxNone, "/guest", "")
 	priv.SetPerms("/guest", Perms{Owner: 5, Write: []xtypes.DomID{5}})
@@ -332,7 +332,7 @@ func TestQuotas(t *testing.T) {
 // starting size, and quota enforcement still holds for each domain.
 func TestOwnedCountsDieWithTheirNodes(t *testing.T) {
 	_, l := newLogic()
-	l.SetQuota(Quota{MaxNodes: 3, MaxWatches: 1, MaxTransactions: 1})
+	l.setQuota(Quota{MaxNodes: 3, MaxWatches: 1, MaxTransactions: 1})
 	priv := l.Connect(0, true)
 	if err := priv.Mkdir(TxNone, "/local/domain"); err != nil {
 		t.Fatal(err)
@@ -374,7 +374,7 @@ func TestDisconnectCleansUp(t *testing.T) {
 	g.Watch("/g", "tok")
 	id, _ := g.TxStart()
 	l.Disconnect(5)
-	if l.State().WatchCount(5) != 0 {
+	if l.state.WatchCount(5) != 0 {
 		t.Fatal("watches survived disconnect")
 	}
 	g2 := l.Connect(5, false)
@@ -399,7 +399,7 @@ func TestWaitValue(t *testing.T) {
 	var connectedAt sim.Time
 	env.Spawn("backend", func(p *sim.Proc) {
 		c.Watch("/fe/state", "s")
-		if !c.WaitValue(p, "/fe/state", "connected") {
+		if !c.waitValue(p, "/fe/state", "connected") {
 			t.Error("WaitValue failed")
 			return
 		}
@@ -423,7 +423,7 @@ func TestWaitValueTimeout(t *testing.T) {
 	var ok bool
 	env.Spawn("b", func(p *sim.Proc) {
 		c.Watch("/never", "s")
-		ok = c.WaitValueTimeout(p, "/never", "x", 5*sim.Millisecond)
+		ok = c.waitValueTimeout(p, "/never", "x", 5*sim.Millisecond)
 	})
 	env.RunAll()
 	if ok {
@@ -436,7 +436,7 @@ func TestDump(t *testing.T) {
 	c := l.Connect(0, true)
 	c.Write(TxNone, "/b", "2")
 	c.Write(TxNone, "/a/x", "1")
-	d := l.State().Dump()
+	d := l.state.dump()
 	if len(d) != 3 {
 		t.Fatalf("dump = %v", d)
 	}

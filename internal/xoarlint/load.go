@@ -64,14 +64,14 @@ func LoadModule(dir string) ([]*Package, error) {
 	return pkgs, nil
 }
 
-// LoadDir loads the package units in a single directory under the given
+// loadDir loads the package units in a single directory under the given
 // import path. The path override lets tests present synthetic sources as any
 // package identity ("xoar/internal/hv") without living in the module tree.
 // Imports of module paths resolve against the module enclosing the working
 // directory, whose packages are checked once per process, on first import,
-// and shared by every LoadDir call. Type errors are kept in
+// and shared by every loadDir call. Type errors are kept in
 // Package.TypeErrors, not returned.
-func LoadDir(dir, importPath string) ([]*Package, error) {
+func loadDir(dir, importPath string) ([]*Package, error) {
 	shared.Lock()
 	defer shared.Unlock()
 	if shared.l == nil {
@@ -94,7 +94,7 @@ func LoadDir(dir, importPath string) ([]*Package, error) {
 	return units, nil
 }
 
-// shared is the loader LoadDir resolves module imports with.
+// shared is the loader loadDir resolves module imports with.
 var shared struct {
 	sync.Mutex
 	l *loader
@@ -249,7 +249,7 @@ func (l *loader) inModule(path string) bool {
 
 // listStd makes export data available for the stdlib paths among imports,
 // and everything they depend on, with one go list call. Paths already listed
-// are skipped, so after the module load only a LoadDir source importing a
+// are skipped, so after the module load only a loadDir source importing a
 // package the module never does costs another call.
 func (l *loader) listStd(imports []string) error {
 	seen := map[string]bool{}

@@ -74,7 +74,7 @@ type Package struct {
 	// selections on types imported from other packages.
 	Info *types.Info
 	// TypeErrors lists the checker's errors. Module loads fail on any; a
-	// synthetic unit loaded with LoadDir keeps them here and is analyzed
+	// synthetic unit loaded with loadDir keeps them here and is analyzed
 	// anyway.
 	TypeErrors []error
 	// Src holds the raw source by filename, used to classify suppression

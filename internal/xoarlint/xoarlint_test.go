@@ -22,7 +22,7 @@ func loadSrcFile(t *testing.T, importPath, filename, src string) *Package {
 	if err := os.WriteFile(filepath.Join(dir, filename), []byte(src), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	pkgs, err := LoadDir(dir, importPath)
+	pkgs, err := loadDir(dir, importPath)
 	if err != nil {
 		t.Fatal(err)
 	}

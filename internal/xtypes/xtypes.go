@@ -138,8 +138,8 @@ func HypercallByName(name string) (Hypercall, bool) {
 // all guests (§3.1: "in addition to the default unprivileged ones").
 func (h Hypercall) Privileged() bool { return h >= HyperDomctlCreate && h < NumHypercalls }
 
-// UnprivilegedSet returns the hypercalls available to every guest.
-func UnprivilegedSet() []Hypercall {
+// unprivilegedSet returns the hypercalls available to every guest.
+func unprivilegedSet() []Hypercall {
 	var out []Hypercall
 	for h := Hypercall(0); h < NumHypercalls; h++ {
 		if !h.Privileged() {

@@ -32,7 +32,7 @@ func TestHypercallNamesComplete(t *testing.T) {
 }
 
 func TestPrivilegeSplit(t *testing.T) {
-	unpriv := UnprivilegedSet()
+	unpriv := unprivilegedSet()
 	if len(unpriv) != 8 {
 		t.Fatalf("unprivileged set = %d calls", len(unpriv))
 	}

@@ -7,7 +7,10 @@ package xoar
 
 import (
 	"bytes"
+	"go/token"
+	"go/types"
 	"os"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -177,5 +180,181 @@ func TestArtifactDeterminism(t *testing.T) {
 	}
 	if !bytes.Equal(h1, h2) {
 		t.Error("two -hotpath generations differ byte-wise")
+	}
+}
+
+// Reasons an exported internal/ function may lack a non-test caller.
+const (
+	keepTeardown = "ROADMAP item 1 gives it a caller: teardown hypercalls and the leak census"
+	keepHot      = "//xoarlint:hot root pinned by HOTPATH.json and a bench-diff allocs cross-check"
+	keepGauge    = "the only constructor of the Gauge whose Set is a hot root; metricnames checks its name argument"
+	keepEntry    = "hv entry point: a row of PRIVMATRIX.json"
+	keepDrift    = "drift-gate helper: the artifact tests in xoarlint_test.go decode and diff with it"
+	keepBench    = "gated benchmark entry point: bench_test.go runs it under make bench-diff"
+	keepBuilder  = "Builder shard administration (§3.3): builder and seceval tests drive it, boot does not wire it yet"
+	keepObserved = "read by the tests of another package, which an unexported name would not reach"
+)
+
+// apiCallerExceptions are exported internal/ functions and methods that
+// TestInternalAPIHasCallers accepts without a non-test caller, each with the
+// reason it stays.
+var apiCallerExceptions = map[string]string{
+	"xoar/internal/evtchn.Table.Close":               keepTeardown,
+	"xoar/internal/grant.Table.ActiveEntries":        keepTeardown,
+	"xoar/internal/grant.Table.EndAccess":            keepTeardown,
+	"xoar/internal/grant.Table.GranteesOf":           keepTeardown,
+	"xoar/internal/ring.Ring.PopResponseBatch":       keepHot,
+	"xoar/internal/ring.Ring.PushRequestBatch":       keepHot,
+	"xoar/internal/ring.Ring.TryPopRequestBatch":     keepHot,
+	"xoar/internal/ring.Ring.TryPopResponseBatch":    keepHot,
+	"xoar/internal/telemetry.Gauge.Set":              keepHot,
+	"xoar/internal/telemetry.Registry.Gauge":         keepGauge,
+	"xoar/internal/hv.Hypervisor.EvtchnNotify":       keepEntry,
+	"xoar/internal/capability.DecodeManifest":        keepDrift,
+	"xoar/internal/capability.DiffManifests":         keepDrift,
+	"xoar/internal/xoarlint.DecodePrivMatrix":        keepDrift,
+	"xoar/internal/xoarlint.DiffHotPath":             keepDrift,
+	"xoar/internal/xoarlint.DiffPrivMatrices":        keepDrift,
+	"xoar/internal/experiments.Saturation":           keepBench,
+	"xoar/internal/experiments.TxBatching":           keepBench,
+	"xoar/internal/builder.Builder.Administers":      keepBuilder,
+	"xoar/internal/builder.Builder.Rebuild":          keepBuilder,
+	"xoar/internal/builder.Builder.Recover":          keepBuilder,
+	"xoar/internal/builder.Builder.RestartStats":     keepBuilder,
+	"xoar/internal/builder.Builder.Rollback":         keepBuilder,
+	"xoar/internal/builder.Builder.SetRestartPolicy": keepBuilder,
+	"xoar/internal/blkdrv.Backend.Serving":           keepObserved,
+	"xoar/internal/blkdrv.Frontend.Connected":        keepObserved,
+	"xoar/internal/blkdrv.Frontend.Queues":           keepObserved,
+	"xoar/internal/capability.NonHVGrants":           keepObserved,
+	"xoar/internal/cluster.Host.GuestCount":          keepObserved,
+	"xoar/internal/consolemgr.Manager.Consoles":      keepObserved,
+	"xoar/internal/consolemgr.Manager.Serving":       keepObserved,
+	"xoar/internal/evtchn.Table.SetHandler":          keepObserved,
+	"xoar/internal/hw.NewMachine":                    keepObserved,
+	"xoar/internal/hw.PCIBus.ConfigOwner":            keepObserved,
+	"xoar/internal/hw.Serial.Log":                    keepObserved,
+	"xoar/internal/mm.DomainMem.SnapEpoch":           keepObserved,
+	"xoar/internal/mm.Manager.MappersOf":             keepObserved,
+	"xoar/internal/netdrv.Backend.Serving":           keepObserved,
+	"xoar/internal/netdrv.Backend.WatchAndServe":     keepObserved,
+	"xoar/internal/netdrv.Frontend.Queues":           keepObserved,
+	"xoar/internal/seceval.CapabilityProbe.Clean":    keepObserved,
+	"xoar/internal/sim.Env.RunAll":                   keepObserved,
+	"xoar/internal/telemetry.Histogram.Count":        keepObserved,
+	"xoar/internal/telemetry.Histogram.Sum":          keepObserved,
+}
+
+// TestInternalAPIHasCallers fails when an exported function or method in
+// internal/ has no non-test use outside the file that declares it. core is
+// exempt: the public xoar package re-exports its Platform and Guest surface.
+// A method that implements an interface the module uses — or fmt.Stringer,
+// which fmt calls — counts as called through it, as does a method promoted
+// into a type that does.
+func TestInternalAPIHasCallers(t *testing.T) {
+	pkgs := loadModule(t)
+	inTest := func(p *xoarlint.Package, pos token.Pos) bool {
+		return strings.HasSuffix(p.Fset.Position(pos).Filename, "_test.go")
+	}
+	used := map[types.Object]bool{}
+	ifaces := map[*types.Interface]bool{}
+	addIface := func(typ types.Type) {
+		if it, ok := typ.Underlying().(*types.Interface); ok && it.NumMethods() > 0 {
+			ifaces[it] = true
+		}
+	}
+	addIface(types.Universe.Lookup("error").Type())
+	for _, p := range pkgs {
+		for _, imp := range p.Types.Imports() {
+			if imp.Path() == "fmt" {
+				addIface(imp.Scope().Lookup("Stringer").Type())
+			}
+		}
+		for id, obj := range p.Info.Uses {
+			if inTest(p, id.Pos()) {
+				continue
+			}
+			if fn, ok := obj.(*types.Func); ok {
+				obj = fn.Origin()
+				params := fn.Type().(*types.Signature).Params()
+				for i := 0; i < params.Len(); i++ {
+					addIface(params.At(i).Type())
+				}
+			}
+			if obj.Pkg() != nil && p.Fset.Position(id.Pos()).Filename != p.Fset.Position(obj.Pos()).Filename {
+				used[obj] = true
+			}
+		}
+		for e, tv := range p.Info.Types {
+			if tv.Type != nil && !inTest(p, e.Pos()) {
+				addIface(tv.Type)
+			}
+		}
+	}
+	// Calls through an interface reach every method that implements it.
+	for _, p := range pkgs {
+		if strings.HasSuffix(p.Name, "_test") {
+			continue
+		}
+		scope := p.Types.Scope()
+		for _, name := range scope.Names() {
+			tn, ok := scope.Lookup(name).(*types.TypeName)
+			if !ok || tn.IsAlias() || types.IsInterface(tn.Type()) || inTest(p, tn.Pos()) {
+				continue
+			}
+			if named, ok := tn.Type().(*types.Named); !ok || named.TypeParams().Len() > 0 {
+				continue
+			}
+			for _, typ := range []types.Type{tn.Type(), types.NewPointer(tn.Type())} {
+				for it := range ifaces {
+					if !types.Implements(typ, it) {
+						continue
+					}
+					for i := 0; i < it.NumMethods(); i++ {
+						obj, _, _ := types.LookupFieldOrMethod(typ, false, tn.Pkg(), it.Method(i).Name())
+						used[obj] = true
+					}
+				}
+			}
+		}
+	}
+	var dead []string
+	excused := map[string]bool{}
+	for _, p := range pkgs {
+		if !strings.HasPrefix(p.Path, "xoar/internal/") || p.Path == "xoar/internal/core" || strings.HasSuffix(p.Name, "_test") {
+			continue
+		}
+		for id, obj := range p.Info.Defs {
+			fn, ok := obj.(*types.Func)
+			if !ok || !fn.Exported() || inTest(p, id.Pos()) || used[fn] {
+				continue
+			}
+			name := p.Path + "." + fn.Name()
+			if recv := fn.Type().(*types.Signature).Recv(); recv != nil {
+				base := recv.Type()
+				if ptr, ok := base.(*types.Pointer); ok {
+					base = ptr.Elem()
+				}
+				named, ok := base.(*types.Named)
+				if !ok || !named.Obj().Exported() || types.IsInterface(named) {
+					continue
+				}
+				name = p.Path + "." + named.Obj().Name() + "." + fn.Name()
+			}
+			if _, ok := apiCallerExceptions[name]; ok {
+				excused[name] = true
+			} else {
+				dead = append(dead, name)
+			}
+		}
+	}
+	sort.Strings(dead)
+	for _, name := range dead {
+		t.Errorf("%s has no non-test caller outside its own file: delete or unexport it, or list it in apiCallerExceptions with the reason it stays", name)
+	}
+	for name := range apiCallerExceptions {
+		if !excused[name] {
+			t.Errorf("apiCallerExceptions lists %s, which is gone or has a caller now: drop the entry", name)
+		}
 	}
 }
