@@ -111,10 +111,9 @@ func bootDom0(p *sim.Proc, h *hv.Hypervisor, opts Options) (*Platform, error) {
 	// boot — everything above came up in-process inside Dom0 — so there is
 	// no batch to SubmitAll here; the Builder exists only for post-boot
 	// guest creation (where toolstacks may still batch via SubmitAll).
+	// Stock Xen has no microreboot machinery (§3.3 is Xoar-only): this
+	// profile installs no restart engine, so pl.Engine stays nil.
 	pl.Builder = builder.New(h, d0.ID, cat, xs)
-	// Stock Xen has no microreboot machinery: Rollback/Rebuild/Recover on
-	// this profile refuse with xtypes.ErrNoMicroreboot (§3.3 is Xoar-only).
-	pl.Builder.Monolithic = true
 	pl.Builder.SetMetrics(opts.Telemetry)
 	h.Env.Spawn("dom0-builder-serve", pl.Builder.Serve)
 	ts := toolstack.New(h, d0.ID, pl.XenStoreLogic, pl.Builder)

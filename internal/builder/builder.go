@@ -4,21 +4,19 @@
 // The Builder is deliberately tiny — the paper's nanOS image is ~8K lines of
 // source (Table 6.1) — because it is the whole steady-state TCB: it is the
 // only domain holding both HyperMapForeign and HyperDomctlPriv, the pair the
-// security analyzer treats as "can touch anything" (§6.2). Its job splits in
-// two:
+// security analyzer treats as "can touch anything" (§6.2). Its job is VM
+// construction: requests arrive over a queue and are served one at a time,
+// so every build is audited against the requester's standing before any
+// privileged hypercall is issued. Images come from a known-good catalog;
+// untrusted kernels are never mapped by the Builder itself but handed to a
+// bootloader domain that loads them from inside (§5.5). A toolstack may
+// request plain guests and a QemuVM for guests it parents — nothing else.
 //
-//   - VM construction. Requests arrive over a queue and are served one at a
-//     time, so every build is audited against the requester's standing
-//     before any privileged hypercall is issued. Images come from a
-//     known-good catalog; untrusted kernels are never mapped by the Builder
-//     itself but handed to a bootloader domain that loads them from inside
-//     (§5.5). A toolstack may request plain guests and a QemuVM for guests
-//     it parents — nothing else.
-//
-//   - Shard administration. Driver shards are delegated to the Builder at
-//     boot (boot.go), which hosts the microreboot engine: it snapshots
-//     replacements, rolls shards back to their boot-time image, and rebuilds
-//     them from the recorded request when rollback is impossible (§3.3).
+// Driver shards are delegated to the Builder at boot (boot.go). The host's
+// one restart engine, snapshot.Engine, acts with the Builder's identity and
+// rolls those shards back to their boot-time image (§3.3); it checks the
+// Builder's whitelist and delegation itself, so this package keeps no
+// restart state.
 package builder
 
 import (
@@ -27,7 +25,6 @@ import (
 	"xoar/internal/hv"
 	"xoar/internal/osimage"
 	"xoar/internal/sim"
-	"xoar/internal/snapshot"
 	"xoar/internal/telemetry"
 	"xoar/internal/xenstore"
 	"xoar/internal/xtypes"
@@ -87,22 +84,15 @@ type Builder struct {
 	XenStoreDom xtypes.DomID
 
 	// Builds counts completed constructions; Denied counts refused
-	// requests; Rebuilds counts shard replacements by the restart engine.
-	Builds   int
-	Denied   int
-	Rebuilds int
-
-	// Monolithic marks the stock-Xen Dom0 profile: the Builder identity is
-	// Dom0 itself and there is no microreboot machinery, so Rollback and
-	// Rebuild refuse with xtypes.ErrNoMicroreboot (§3.3 is Xoar-only).
-	Monolithic bool
+	// requests.
+	Builds int
+	Denied int
 
 	hv    *hv.Hypervisor
 	dom   xtypes.DomID
 	cat   *osimage.Catalog
 	xs    *xenstore.Conn
 	queue *sim.Chan[*job]
-	eng   *snapshot.Engine
 
 	// tel is the telemetry registry (nil = disabled); m holds pre-resolved
 	// metric handles so the hot path pays one nil check per observation.
@@ -112,14 +102,6 @@ type Builder struct {
 	// authorized lists principals allowed privileged builds (the
 	// Bootstrapper during boot; the Builder itself afterwards).
 	authorized map[xtypes.DomID]bool
-	// records remembers each shard build (device models excepted) so a
-	// failed shard can be reconstructed.
-	records map[xtypes.DomID]record
-}
-
-type record struct {
-	req  Request
-	boot sim.Duration
 }
 
 // builderMetrics are the Builder's pre-resolved telemetry handles; all nil
@@ -176,20 +158,17 @@ func New(h *hv.Hypervisor, dom xtypes.DomID, cat *osimage.Catalog, xs *xenstore.
 		cat:         cat,
 		xs:          xs,
 		queue:       sim.NewChan[*job](h.Env),
-		eng:         snapshot.NewEngine(h, dom),
 		authorized:  make(map[xtypes.DomID]bool),
-		records:     make(map[xtypes.DomID]record),
 	}
 }
 
 // Dom returns the domain the Builder runs in.
 func (b *Builder) Dom() xtypes.DomID { return b.dom }
 
-// SetMetrics attaches a telemetry registry to the Builder and its restart
-// engine. Safe with nil (telemetry disabled); call before Serve starts.
+// SetMetrics attaches a telemetry registry to the Builder. Safe with nil
+// (telemetry disabled); call before Serve starts.
 func (b *Builder) SetMetrics(reg *telemetry.Registry) {
 	b.tel = reg
-	b.eng.SetMetrics(reg)
 	b.m = builderMetrics{
 		queueDepth: reg.Histogram("builder_queue_depth", telemetry.DepthBuckets),
 		queueWait:  reg.Histogram("builder_queue_wait_ms", telemetry.LatencyMSBuckets),
@@ -411,7 +390,7 @@ func (b *Builder) BuildDirect(p *sim.Proc, req Request) (xtypes.DomID, error) {
 }
 
 // trusted reports whether dom may request privileged builds: the Builder
-// itself (rebuilding its wards) or a principal on the authorized list.
+// itself (replacing its wards, as a driver upgrade does) or a principal on the authorized list.
 func (b *Builder) trusted(dom xtypes.DomID) bool {
 	return dom == b.dom || b.authorized[dom]
 }
@@ -518,13 +497,6 @@ func (b *Builder) construct(p *sim.Proc, img osimage.Image, req Request) (xtypes
 	}
 	b.Builds++
 	b.m.builds.Inc()
-	if req.Shard && !req.qemu() {
-		// Only shards are ever rebuilt or recovered. A plain guest's record,
-		// or that of a device model (which lives and dies with its guest and
-		// is never rebuilt), would outlive the guest for as long as the host
-		// runs.
-		b.records[d.ID] = record{req: req, boot: img.BootTime()}
-	}
 	return d.ID, img.BootTime(), nil
 }
 

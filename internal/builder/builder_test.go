@@ -3,6 +3,7 @@ package builder_test
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"testing"
 
 	"xoar/internal/builder"
@@ -10,7 +11,7 @@ import (
 	"xoar/internal/hw"
 	"xoar/internal/osimage"
 	"xoar/internal/sim"
-	"xoar/internal/snapshot"
+	"xoar/internal/telemetry"
 	"xoar/internal/xenstore"
 	"xoar/internal/xtypes"
 )
@@ -218,241 +219,76 @@ func TestSubmitSerializedFIFO(t *testing.T) {
 	}
 }
 
-// fakeComp is a minimal Restartable for engine tests.
-type fakeComp struct {
-	dom      xtypes.DomID
-	restarts int
-}
-
-func (c *fakeComp) Dom() xtypes.DomID              { return c.dom }
-func (c *fakeComp) Name() string                   { return "fake" }
-func (c *fakeComp) Restart(p *sim.Proc, fast bool) { c.restarts++ }
-
-func TestRestartEngineRollsBackDelegatedShard(t *testing.T) {
+// runSubmitScenario executes a fixed, seeded build workload against a fresh
+// rig with reg attached and returns the builder. Two calls with equal
+// arguments produce identical telemetry (the simulation is deterministic).
+func runSubmitScenario(t *testing.T, reg *telemetry.Registry) *builder.Builder {
+	t.Helper()
 	env, h, b := newRig(t)
 	defer env.Shutdown()
-	bs := newShard(t, h, "bootstrap", xtypes.HyperDelegateAdmin)
-	b.Authorize(bs)
-
-	var shard xtypes.DomID
-	run(t, env, 30*sim.Second, func(p *sim.Proc) {
-		var err error
-		shard, err = b.Submit(p, builder.Request{
-			Requester: bs, Name: "netback", Image: osimage.ImgNetBack, Shard: true,
-			Privileges: hv.Assignment{Hypercalls: []xtypes.Hypercall{xtypes.HyperVMSnapshot}},
+	b.SetMetrics(reg)
+	ts := newShard(t, h, "ts")
+	const n = 6
+	for i := 0; i < n; i++ {
+		i := i
+		env.Spawn(fmt.Sprintf("req-%d", i), func(p *sim.Proc) {
+			if _, err := b.Submit(p, builder.Request{
+				Requester: ts, Name: fmt.Sprintf("g-%d", i), Image: osimage.ImgQemu,
+			}); err != nil {
+				t.Errorf("submit %d: %v", i, err)
+			}
 		})
-		if err != nil {
-			t.Errorf("shard build: %v", err)
-		}
-	})
-	// Boot-sequence handoff: the shard is delegated to the Builder, then
-	// checkpoints itself once initialized.
-	if err := h.Delegate(bs, shard, b.Dom()); err != nil {
-		t.Fatal(err)
 	}
-	if !b.Administers(shard) {
-		t.Fatal("builder does not administer the delegated shard")
-	}
-	if err := h.VMSnapshot(shard); err != nil {
-		t.Fatal(err)
-	}
-
-	// Scribble on the shard's memory, then roll it back.
-	d, err := h.Domain(shard)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Mem.Write(3, []byte("corrupted state")); err != nil {
-		t.Fatal(err)
-	}
-	if d.Mem.DirtyPages() == 0 {
-		t.Fatal("write did not dirty the shard")
-	}
-	run(t, env, sim.Second, func(p *sim.Proc) {
-		restored, rerr := b.Rollback(p, shard)
-		if rerr != nil || restored == 0 {
-			t.Errorf("rollback: restored=%d err=%v", restored, rerr)
-		}
-	})
-	if d.Mem.DirtyPages() != 0 {
-		t.Fatal("rollback left dirty pages")
-	}
-
-	// A shard never delegated to the Builder cannot be touched.
-	other := newShard(t, h, "other")
-	run(t, env, sim.Second, func(p *sim.Proc) {
-		if _, rerr := b.Rollback(p, other); !errors.Is(rerr, xtypes.ErrPerm) {
-			t.Errorf("rollback of foreign shard: %v", rerr)
-		}
-	})
-	if err := b.SetRestartPolicy(&fakeComp{dom: other}, snapshot.Policy{
-		Kind: snapshot.PolicyTimer, Interval: sim.Second,
-	}); !errors.Is(err, xtypes.ErrPerm) {
-		t.Fatalf("policy on foreign shard: %v", err)
-	}
-
-	// Under a timer policy the engine microreboots the shard on its own.
-	comp := &fakeComp{dom: shard}
-	if err := b.SetRestartPolicy(comp, snapshot.Policy{
-		Kind: snapshot.PolicyTimer, Interval: sim.Second,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	env.RunFor(5 * sim.Second)
-	stats, ok := b.RestartStats(shard)
-	if !ok || stats.Restarts < 3 || comp.restarts < 3 {
-		t.Fatalf("timer restarts: stats=%+v comp=%d", stats, comp.restarts)
-	}
-
-	// Crash-and-rebuild: the domain is gone, Recover builds a fresh one
-	// from the recorded request, parented and snapshotted by the Builder.
-	if err := h.DestroyDomain(hv.SystemCaller, shard, "driver crash"); err != nil {
-		t.Fatal(err)
-	}
-	var newDom xtypes.DomID
-	run(t, env, 30*sim.Second, func(p *sim.Proc) {
-		var rerr error
-		newDom, rerr = b.Recover(p, shard)
-		if rerr != nil {
-			t.Errorf("recover: %v", rerr)
-		}
-	})
-	if newDom == shard {
-		t.Fatal("recover returned the dead domain")
-	}
-	nd, err := h.Domain(newDom)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !nd.IsShard() || nd.ParentTool() != b.Dom() {
-		t.Fatalf("rebuilt shard=%v parent=%v", nd.IsShard(), nd.ParentTool())
-	}
-	// The replacement was snapshotted on build: it can roll back at once.
-	run(t, env, sim.Second, func(p *sim.Proc) {
-		if _, rerr := b.Rollback(p, newDom); rerr != nil {
-			t.Errorf("rollback of rebuilt shard: %v", rerr)
-		}
-	})
-	if b.Rebuilds != 1 {
-		t.Fatalf("rebuilds = %d", b.Rebuilds)
-	}
+	env.RunFor(120 * sim.Second)
+	return b
 }
 
-// Plain guests and HVM device models leave no build record behind: the
-// Builder lives as long as the host, so a per-guest record would grow with
-// every guest ever built. Shard records, which Rebuild and Recover need,
-// are still kept.
-func TestGuestChurnKeepsRecordsBounded(t *testing.T) {
-	env, h, b := newRig(t)
-	defer env.Shutdown()
-	ts := newShard(t, h, "toolstack")
-	bs := newShard(t, h, "bootstrap", xtypes.HyperDelegateAdmin)
-	b.Authorize(bs)
-
-	var shard xtypes.DomID
-	run(t, env, 30*sim.Second, func(p *sim.Proc) {
-		var err error
-		shard, err = b.Submit(p, builder.Request{Requester: bs, Name: "netback", Image: osimage.ImgNetBack, Shard: true,
-			Privileges: hv.Assignment{Hypercalls: []xtypes.Hypercall{xtypes.HyperVMSnapshot}}})
-		if err != nil {
-			t.Errorf("shard build: %v", err)
-		}
-	})
-	base := builder.Records(b)
-	if base != 1 {
-		t.Fatalf("records after one shard build = %d, want 1", base)
+// TestTelemetryExactUnderConcurrentHammer checks that histogram counts and
+// sums stay exact when real goroutines hammer the same histogram the
+// builder's serve loop observes into. Run with -race (the CI race shard
+// does) to also validate the synchronization.
+func TestTelemetryExactUnderConcurrentHammer(t *testing.T) {
+	// Baseline: the same scenario without the hammer gives the expected
+	// simulation-side observations.
+	base := telemetry.New()
+	bb := runSubmitScenario(t, base)
+	baseHist := base.Histogram("builder_queue_wait_ms", telemetry.LatencyMSBuckets)
+	baseCount, baseSum := baseHist.Count(), baseHist.Sum()
+	if baseCount == 0 || bb.Builds == 0 {
+		t.Fatalf("baseline scenario recorded nothing: count=%d builds=%d", baseCount, bb.Builds)
 	}
 
-	const n = 50
-	for i := 0; i < n; i++ {
-		var g xtypes.DomID
-		run(t, env, 60*sim.Second, func(p *sim.Proc) {
-			var err error
-			g, err = b.Submit(p, builder.Request{Requester: ts, Name: fmt.Sprintf("g%d", i), Image: osimage.ImgGuestPV})
-			if err != nil {
-				t.Errorf("guest %d: %v", i, err)
+	reg := telemetry.New()
+	shared := reg.Histogram("builder_queue_wait_ms", telemetry.LatencyMSBuckets)
+	side := reg.Histogram("hammer_only", telemetry.LatencyMSBuckets)
+	const workers, per = 8, 20000
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < per; i++ {
+				// Observe 0 into the shared histogram: x + 0.0 == x in IEEE
+				// arithmetic, so the serve loop's sum must come out exactly
+				// equal to the baseline regardless of interleaving.
+				shared.Observe(0)
+				side.Observe(2)
 			}
-		})
-		if err := h.DestroyDomain(hv.SystemCaller, g, "done"); err != nil {
-			t.Fatal(err)
-		}
-		if got := builder.Records(b); got != base {
-			t.Fatalf("records after %d guests = %d, want %d", i+1, got, base)
-		}
+		}()
 	}
+	b := runSubmitScenario(t, reg)
+	wg.Wait()
 
-	// HVM guests: each carries a device-model stub, which the Builder
-	// builds as a shard. Neither may leave a record once both are gone.
-	for i := 0; i < n; i++ {
-		var g, q xtypes.DomID
-		run(t, env, 60*sim.Second, func(p *sim.Proc) {
-			var err error
-			g, err = b.Submit(p, builder.Request{Requester: ts, Name: fmt.Sprintf("hvm%d", i), Image: osimage.ImgGuestHVM})
-			if err != nil {
-				t.Errorf("hvm guest %d: %v", i, err)
-				return
-			}
-			q, err = b.Submit(p, builder.Request{Requester: ts, Name: fmt.Sprintf("hvm%d-qemu", i), QemuFor: g})
-			if err != nil {
-				t.Errorf("hvm guest %d qemu: %v", i, err)
-			}
-		})
-		if t.Failed() {
-			t.FailNow()
-		}
-		for _, dom := range []xtypes.DomID{q, g} {
-			if err := h.DestroyDomain(hv.SystemCaller, dom, "done"); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if got := builder.Records(b); got != base {
-			t.Fatalf("records after %d hvm guests = %d, want %d", i+1, got, base)
-		}
+	if b.Builds != bb.Builds {
+		t.Fatalf("scenario diverged: builds %d vs %d", b.Builds, bb.Builds)
 	}
-
-	// The shard record survived the churn: a crashed shard still rebuilds.
-	if err := h.Delegate(bs, shard, b.Dom()); err != nil {
-		t.Fatal(err)
+	if got := shared.Count(); got != baseCount+workers*per {
+		t.Fatalf("shared count = %d, want %d (lost updates)", got, baseCount+workers*per)
 	}
-	if err := h.DestroyDomain(hv.SystemCaller, shard, "driver crash"); err != nil {
-		t.Fatal(err)
+	if got := shared.Sum(); got != baseSum {
+		t.Fatalf("shared sum = %g, want %g", got, baseSum)
 	}
-	var newDom xtypes.DomID
-	run(t, env, 30*sim.Second, func(p *sim.Proc) {
-		var err error
-		newDom, err = b.Recover(p, shard)
-		if err != nil {
-			t.Errorf("recover: %v", err)
-		}
-	})
-	nd, err := h.Domain(newDom)
-	if err != nil {
-		t.Fatal(err)
+	if side.Count() != workers*per || side.Sum() != float64(workers*per*2) {
+		t.Fatalf("side histogram inexact: n=%d sum=%g", side.Count(), side.Sum())
 	}
-	if !nd.IsShard() || nd.Name != "netback" || b.Rebuilds != 1 {
-		t.Fatalf("rebuilt shard=%v name=%q rebuilds=%d", nd.IsShard(), nd.Name, b.Rebuilds)
-	}
-	if got := builder.Records(b); got != base {
-		t.Fatalf("records after rebuild = %d, want %d", got, base)
-	}
-	// And a plain guest never has a record to rebuild from.
-	var g xtypes.DomID
-	run(t, env, 60*sim.Second, func(p *sim.Proc) {
-		var err error
-		g, err = b.Submit(p, builder.Request{Requester: ts, Name: "late", Image: osimage.ImgGuestPV})
-		if err != nil {
-			t.Errorf("late guest: %v", err)
-		}
-	})
-	if t.Failed() {
-		t.FailNow()
-	}
-	if err := h.DestroyDomain(hv.SystemCaller, g, "done"); err != nil {
-		t.Fatal(err)
-	}
-	run(t, env, 30*sim.Second, func(p *sim.Proc) {
-		if _, err := b.Rebuild(p, g); !errors.Is(err, xtypes.ErrNotFound) {
-			t.Errorf("rebuild of a plain guest: %v, want ErrNotFound", err)
-		}
-	})
 }

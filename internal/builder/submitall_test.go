@@ -1,6 +1,6 @@
 // SubmitAll edge cases: empty batches, hoisted whole-batch validation,
-// pipelined makespan vs serial Submit, FIFO fairness against concurrent
-// Submit callers, and restart-engine rebuilds of batch-built shards.
+// pipelined makespan vs serial Submit, and FIFO fairness against concurrent
+// Submit callers.
 
 package builder_test
 
@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"xoar/internal/builder"
-	"xoar/internal/hv"
 	"xoar/internal/osimage"
 	"xoar/internal/sim"
 	"xoar/internal/xtypes"
@@ -214,62 +213,5 @@ func TestSubmitAllInterleavedWithSubmitFIFO(t *testing.T) {
 	}
 	if b.Builds != n+2 {
 		t.Fatalf("builds = %d, want %d", b.Builds, n+2)
-	}
-}
-
-// Batch-built shards land in the Builder's build records exactly like
-// Submit-built ones: the restart engine can rebuild them after a crash.
-func TestRebuildOfBatchBuiltShard(t *testing.T) {
-	env, h, b := newRig(t)
-	defer env.Shutdown()
-	bs := newShard(t, h, "bootstrap", xtypes.HyperDelegateAdmin)
-	b.Authorize(bs)
-
-	var doms []xtypes.DomID
-	run(t, env, 60*sim.Second, func(p *sim.Proc) {
-		var errs []error
-		doms, errs = b.SubmitAll(p, []builder.Request{
-			{Requester: bs, Name: "netback", Image: osimage.ImgNetBack, Shard: true,
-				Privileges: hv.Assignment{Hypercalls: []xtypes.Hypercall{xtypes.HyperVMSnapshot}}},
-			{Requester: bs, Name: "blkback", Image: osimage.ImgBlkBack, Shard: true,
-				Privileges: hv.Assignment{Hypercalls: []xtypes.Hypercall{xtypes.HyperVMSnapshot}}},
-		})
-		for i, err := range errs {
-			if err != nil {
-				t.Errorf("batch slot %d: %v", i, err)
-			}
-		}
-	})
-	shard := doms[0]
-	if err := h.Delegate(bs, shard, b.Dom()); err != nil {
-		t.Fatal(err)
-	}
-	if err := h.VMSnapshot(shard); err != nil {
-		t.Fatal(err)
-	}
-	if err := h.DestroyDomain(hv.SystemCaller, shard, "driver crash"); err != nil {
-		t.Fatal(err)
-	}
-
-	var newDom xtypes.DomID
-	run(t, env, 30*sim.Second, func(p *sim.Proc) {
-		var err error
-		newDom, err = b.Recover(p, shard)
-		if err != nil {
-			t.Errorf("recover of batch-built shard: %v", err)
-		}
-	})
-	if newDom == shard || newDom == xtypes.DomIDNone {
-		t.Fatalf("recover returned %v", newDom)
-	}
-	nd, err := h.Domain(newDom)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !nd.IsShard() || nd.Name != "netback" || nd.ParentTool() != b.Dom() {
-		t.Fatalf("rebuilt shard=%v name=%q parent=%v", nd.IsShard(), nd.Name, nd.ParentTool())
-	}
-	if b.Rebuilds != 1 {
-		t.Fatalf("rebuilds = %d", b.Rebuilds)
 	}
 }

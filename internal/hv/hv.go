@@ -171,12 +171,6 @@ type Hypervisor struct {
 	// Sink receives lifecycle events; the audit log subscribes here.
 	Sink func(Event)
 
-	// Fault, when set, is consulted before the effects of fault-injectable
-	// hypercalls (domain creation, snapshot rollback) are applied; a
-	// non-nil return fails the call with that error. This is the test hook
-	// for exercising the restart engine's half-recovered cleanup paths.
-	Fault FaultFunc
-
 	// onDestroy hooks run after a domain is destroyed (XenStore cleanup,
 	// driver teardown), in registration order.
 	onDestroy []func(xtypes.DomID)
@@ -222,20 +216,6 @@ func (h *Hypervisor) emit(kind string, dom xtypes.DomID, arg string) {
 
 // OnDestroy registers a teardown hook invoked after every domain destruction.
 func (h *Hypervisor) OnDestroy(f func(xtypes.DomID)) { h.onDestroy = append(h.onDestroy, f) }
-
-// FaultFunc decides whether a fault-injectable operation should fail.
-// op names the operation ("domctl_create", "vm_rollback"); caller and
-// target identify the hypercall parties (target is DomIDNone for creates,
-// whose domain does not exist yet).
-type FaultFunc func(op string, caller, target xtypes.DomID) error
-
-// injectFault consults the installed fault injector, if any.
-func (h *Hypervisor) injectFault(op string, caller, target xtypes.DomID) error {
-	if h.Fault == nil {
-		return nil
-	}
-	return h.Fault(op, caller, target)
-}
 
 // Domain looks up a live domain.
 func (h *Hypervisor) Domain(id xtypes.DomID) (*Domain, error) {
@@ -338,9 +318,6 @@ func (h *Hypervisor) controlled(caller, target xtypes.DomID, hc xtypes.Hypercall
 func (h *Hypervisor) CreateDomain(caller xtypes.DomID, cfg DomainConfig) (*Domain, error) {
 	if _, err := h.check(caller, xtypes.HyperDomctlCreate); err != nil {
 		return nil, err
-	}
-	if err := h.injectFault("domctl_create", caller, xtypes.DomIDNone); err != nil {
-		return nil, fmt.Errorf("hv: create %q: %w", cfg.Name, err)
 	}
 	if cfg.VCPUs <= 0 {
 		cfg.VCPUs = 1

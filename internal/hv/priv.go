@@ -444,9 +444,6 @@ func (h *Hypervisor) VMRollback(caller, target xtypes.DomID) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	if err := h.injectFault("vm_rollback", caller, target); err != nil {
-		return 0, fmt.Errorf("hv: rollback %v: %w", target, err)
-	}
 	restored, err := d.Mem.Rollback()
 	if err != nil {
 		return 0, err

@@ -8,6 +8,7 @@ import (
 	"xoar/internal/hv"
 	"xoar/internal/osimage"
 	"xoar/internal/sim"
+	"xoar/internal/snapshot"
 	"xoar/internal/toolstack"
 	"xoar/internal/xtypes"
 )
@@ -151,39 +152,26 @@ func TestDebugRegMitigationAppliesToBothPlatforms(t *testing.T) {
 }
 
 // TestMonolithicProfileHasNoMicroreboots asserts the §3.3 capability split:
-// microreboots exist only on the disaggregated platform. Stock Xen's Builder
-// refuses every restart-engine entry point with a distinct error, while the
-// Xoar Builder fails the same probe for ordinary reasons (no snapshot), never
-// with that error.
+// microreboots exist only on the disaggregated platform. Stock Xen installs
+// no restart engine at all. On Xoar the one engine acts as the Builder, the
+// only identity whose whitelist and delegations admit a driver shard: an
+// engine acting as a guest is refused the same NetBack.
 func TestMonolithicProfileHasNoMicroreboots(t *testing.T) {
-	env, pl, guests := bootPlatform(t, true)
+	env, pl, _ := bootPlatform(t, true)
 	defer env.Shutdown()
-	var rbErr, rebErr, recErr error
-	env.Spawn("probe", func(p *sim.Proc) {
-		_, rbErr = pl.Builder.Rollback(p, guests[0])
-		_, rebErr = pl.Builder.Rebuild(p, guests[0])
-		_, recErr = pl.Builder.Recover(p, guests[0])
-	})
-	env.RunFor(10 * sim.Second)
-	for name, err := range map[string]error{"rollback": rbErr, "rebuild": rebErr, "recover": recErr} {
-		if !errors.Is(err, xtypes.ErrNoMicroreboot) {
-			t.Errorf("%s on stock Xen: err = %v, want ErrNoMicroreboot", name, err)
-		}
-	}
-	// The probed guest must be untouched by the refusals.
-	if _, err := pl.HV.Domain(guests[0]); err != nil {
-		t.Fatalf("refusal destroyed the guest: %v", err)
+	if pl.Engine != nil {
+		t.Fatal("stock Xen profile installed a restart engine")
 	}
 
 	env2, xoar, xguests := bootPlatform(t, false)
 	defer env2.Shutdown()
-	var xerr error
-	env2.Spawn("probe", func(p *sim.Proc) {
-		_, xerr = xoar.Builder.Rollback(p, xguests[0])
-	})
-	env2.RunFor(10 * sim.Second)
-	if errors.Is(xerr, xtypes.ErrNoMicroreboot) {
-		t.Fatalf("xoar profile claims no microreboots: %v", xerr)
+	nb := xoar.NetBacks[0].AsRestartable()
+	pol := snapshot.Policy{Kind: snapshot.PolicyPerRequest}
+	if err := snapshot.NewEngine(xoar.HV, xguests[0]).Manage(nb, pol); !errors.Is(err, xtypes.ErrPerm) {
+		t.Fatalf("engine acting as a guest managed the netback: err = %v, want ErrPerm", err)
+	}
+	if err := xoar.Engine.Manage(nb, pol); err != nil {
+		t.Fatalf("the Builder's engine refused its delegated netback: %v", err)
 	}
 }
 

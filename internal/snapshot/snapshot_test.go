@@ -1,6 +1,8 @@
 package snapshot
 
 import (
+	"errors"
+	"strings"
 	"testing"
 
 	"xoar/internal/hv"
@@ -160,5 +162,67 @@ func TestDowntimeMeasurement(t *testing.T) {
 	st, _ := eng.Stats(comp.Dom())
 	if st.LastDowntime < 260*sim.Millisecond || st.LastDowntime > 300*sim.Millisecond {
 		t.Fatalf("downtime = %v, want ~260ms", st.LastDowntime)
+	}
+}
+
+// TestManageRequiresWhitelistAndDelegation pins the set_restart_policy
+// audit: an engine acting as a domain may only place a component under a
+// restart policy when that domain holds HyperSetRestartPolicy and parents
+// the component or was delegated admin rights over it — the standing boot
+// gives the Builder over the driver shards.
+func TestManageRequiresWhitelistAndDelegation(t *testing.T) {
+	env, h, _, comp := setup(t)
+	defer env.Shutdown()
+	admin := func(name string, hcs ...xtypes.Hypercall) xtypes.DomID {
+		d, err := h.CreateDomain(hv.SystemCaller, hv.DomainConfig{Name: name, MemMB: 32, Shard: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := h.AssignPrivileges(hv.SystemCaller, d.ID, hv.Assignment{Hypercalls: hcs}); err != nil {
+			t.Fatal(err)
+		}
+		return d.ID
+	}
+	refused := func(err error, rule string) {
+		t.Helper()
+		if !errors.Is(err, xtypes.ErrPerm) || !strings.Contains(err.Error(), rule) {
+			t.Fatalf("err = %v, want ErrPerm naming %q", err, rule)
+		}
+	}
+	timer := Policy{Kind: PolicyTimer, Interval: sim.Second}
+
+	// Delegated, but set_restart_policy is not on the whitelist.
+	unlisted := admin("unlisted", xtypes.HyperVMRollback)
+	if err := h.Delegate(hv.SystemCaller, comp.Dom(), unlisted); err != nil {
+		t.Fatal(err)
+	}
+	refused(NewEngine(h, unlisted).Manage(comp, timer), "not whitelisted")
+
+	// Whitelisted, but the shard was never delegated to it.
+	builder := admin("builder", xtypes.HyperVMRollback, xtypes.HyperSetRestartPolicy)
+	eng := NewEngine(h, builder)
+	refused(eng.Manage(comp, timer), "delegated")
+	if _, ok := eng.Stats(comp.Dom()); ok {
+		t.Fatal("refused shard is managed")
+	}
+
+	// Delegated and whitelisted: accepted.
+	if err := h.Delegate(hv.SystemCaller, comp.Dom(), builder); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Manage(comp, timer); err != nil {
+		t.Fatalf("delegated shard refused: %v", err)
+	}
+
+	// Once the whitelist entry is revoked, a policy change is refused and
+	// the old one-second timer keeps running.
+	env.Run(sim.Time(1500 * sim.Millisecond))
+	if err := h.RevokeHypercall(hv.SystemCaller, builder, xtypes.HyperSetRestartPolicy); err != nil {
+		t.Fatal(err)
+	}
+	refused(eng.SetPolicy(comp.Dom(), Policy{Kind: PolicyTimer, Interval: 10 * sim.Second}), "not whitelisted")
+	env.Run(sim.Time(5700 * sim.Millisecond))
+	if st, ok := eng.Stats(comp.Dom()); !ok || st.Restarts != 5 || comp.restarts != 5 {
+		t.Fatalf("after refused SetPolicy: stats=%+v managed=%v restarts=%d, want the old timer's 5", st, ok, comp.restarts)
 	}
 }

@@ -37,7 +37,7 @@ type Label struct {
 func L(key, value string) Label { return Label{Key: key, Value: value} }
 
 // metricID renders name plus sorted labels into the canonical registry key,
-// e.g. `restart_rollback_ms{class=netback}`. Sorting makes the ID
+// e.g. `restart_downtime_ms{comp=netback}`. Sorting makes the ID
 // independent of the label order at the call site.
 func metricID(name string, labels []Label) string {
 	if len(labels) == 0 {

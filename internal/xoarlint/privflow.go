@@ -881,7 +881,7 @@ func (c *flow) recvCall(fr *frame, st *flowState, v *ast.CallExpr, chain []strin
 		if m, ok := c.methods[chain[1]]; ok {
 			return c.inline(fr, st, m, v.Args)
 		}
-		return nil // func-typed field (h.Sink, h.Fault)
+		return nil // func-typed field (h.Sink)
 	}
 	root := chain[1]
 	if hvStateObjects[root] && !readOnlyStateCalls[chain[len(chain)-1]] {

@@ -60,11 +60,6 @@ var (
 	// (§3.4.2: quotas enforced by the virtualization platform).
 	ErrQuota = errors.New("xoar: resource quota exceeded")
 
-	// ErrNoMicroreboot is returned when rollback/rebuild is requested under
-	// the monolithic Dom0 profile: stock Xen has no microreboot mechanism
-	// (§3.3 is Xoar-only), and seceval asserts the refusal.
-	ErrNoMicroreboot = errors.New("xoar: microreboots unavailable in the monolithic profile")
-
 	// ErrBatchAborted is returned for the valid requests of a SubmitAll
 	// batch whose validation failed elsewhere: the Builder validates a
 	// whole batch before spending any build compute, and one malformed or
