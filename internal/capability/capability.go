@@ -97,9 +97,9 @@ const (
 
 // GrantRationale is a whitelist entry that no hv dispatch entry point
 // demands — privileges enforced elsewhere (device assignment rides
-// AssignPrivileges; restart policy is probed by builder.holds). Each carries
-// its justification into the generated manifest, where it is the only kind
-// of grant without a derivation from the privilege matrix.
+// AssignPrivileges; restart policy is checked by snapshot.Engine.Manage).
+// Each carries its justification into the generated manifest, where it is
+// the only kind of grant without a derivation from the privilege matrix.
 type GrantRationale struct {
 	Hypercall xtypes.Hypercall
 	Why       string
@@ -123,8 +123,11 @@ type Role struct {
 	IOPorts []string
 }
 
-// nonHVAssignDevice and nonHVRestartPolicy are the two enforcement points
-// that live outside the hypervisor's dispatch surface in this model.
+// nonHVAssignDevice and nonHVRestartPolicy are the two grants enforced
+// outside the hypervisor's dispatch surface in this model, by
+// hv.Hypervisor.AssignPrivileges and snapshot.Engine.Manage. Each Why names
+// its enforcer; TestNonHVEnforcersAreLive checks that the name resolves to
+// a function with a non-test caller.
 var (
 	nonHVAssignDevice = GrantRationale{
 		Hypercall: xtypes.HyperAssignDevice,
@@ -132,7 +135,7 @@ var (
 	}
 	nonHVRestartPolicy = GrantRationale{
 		Hypercall: xtypes.HyperSetRestartPolicy,
-		Why:       "restart policy is audited by builder.holds against this whitelist, not by hv dispatch",
+		Why:       "restart policy is audited by snapshot.Engine.Manage against this whitelist and the shard's delegation, not by hv dispatch",
 	}
 )
 

@@ -72,10 +72,10 @@ var hypercallInvokers = map[xtypes.Hypercall]func(h *hv.Hypervisor, caller, vict
 
 // noHVEntryPoint lists whitelisted hypercalls enforced outside the
 // hypervisor's dispatch surface in this model (device assignment rides
-// AssignPrivileges; restart policies are audited by builder.holds). The set
-// comes straight from the manifest's rationale grants — the grants capgen
-// could not derive from a privilege-matrix row are exactly the ones no
-// invoker above can reach.
+// AssignPrivileges; restart policies are audited by snapshot.Engine.Manage).
+// The set comes straight from the manifest's rationale grants — the grants
+// capgen could not derive from a privilege-matrix row are exactly the ones
+// no invoker above can reach.
 var noHVEntryPoint = capability.NonHVGrants()
 
 func TestGuestDeniedEveryShardWhitelistedHypercall(t *testing.T) {
