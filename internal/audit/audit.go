@@ -9,9 +9,7 @@ package audit
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
-	"io"
 	"sort"
 	"strings"
 
@@ -222,24 +220,4 @@ func (l *Log) KindCount(kind string) int {
 		}
 	}
 	return n
-}
-
-// save serializes the log (the "off-host, append-only" store of §3.2.2
-// materialized), preserving the hash chain so the reader can re-verify.
-func (l *Log) save(w io.Writer) error {
-	return json.NewEncoder(w).Encode(l.records)
-}
-
-// loadLog reads a saved log and verifies its hash chain before returning it;
-// a tampered image is rejected with the corrupt record's index.
-func loadLog(r io.Reader) (*Log, int, error) {
-	var recs []Record
-	if err := json.NewDecoder(r).Decode(&recs); err != nil {
-		return nil, -1, fmt.Errorf("audit: load: %w", err)
-	}
-	l := &Log{records: recs}
-	if i := l.Verify(); i != -1 {
-		return nil, i, fmt.Errorf("audit: load: record %d fails verification", i)
-	}
-	return l, -1, nil
 }

@@ -1,8 +1,8 @@
 // Package grant implements Xen-style grant tables (§4.3): page-granularity,
 // capability-like sharing of memory between specific, possibly unprivileged
 // domains. A domain exports one of its own pages to a named grantee; the
-// grantee maps or copies through the grant reference, and every use is
-// audited against the table by the hypervisor.
+// grantee maps it through the grant reference, and every use is audited
+// against the table by the hypervisor.
 //
 // Grant tables are the mechanism Xoar uses to deprivilege XenStore and the
 // Console Manager (§5.6): instead of Dom0-style forcible foreign mapping,
@@ -25,7 +25,6 @@ type Entry struct {
 
 	active  int // live mappings through this entry
 	revoked bool
-	copies  int // completed grant-copy operations, for the audit trail
 }
 
 type domainTable struct {
@@ -124,24 +123,6 @@ func (t *Table) Map(mapper, owner xtypes.DomID, ref xtypes.GrantRef, write bool)
 	}
 	e.active++
 	return &Mapping{table: t, entry: e, Ref: ref}, nil
-}
-
-// copyPage performs a grant-copy: caller moves up to one page of data through the
-// entry without establishing a mapping. direction write=true means caller
-// writes into the granted page.
-func (t *Table) copyPage(caller, owner xtypes.DomID, ref xtypes.GrantRef, write bool) error {
-	e, err := t.lookup(owner, ref)
-	if err != nil {
-		return err
-	}
-	if e.Grantee != caller && e.Owner != caller {
-		return fmt.Errorf("grant: copy by %v of %v ref %d: %w", caller, owner, ref, xtypes.ErrPerm)
-	}
-	if write && e.ReadOnly && caller != e.Owner {
-		return fmt.Errorf("grant: write copy through ro grant: %w", xtypes.ErrPerm)
-	}
-	e.copies++
-	return nil
 }
 
 // EndAccess revokes a grant. It fails with ErrInUse while mappings are live,

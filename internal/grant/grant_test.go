@@ -53,12 +53,6 @@ func TestReadOnlyGrant(t *testing.T) {
 	if _, err := tbl.Map(2, 1, ref, false); err != nil {
 		t.Fatalf("ro map of ro grant: %v", err)
 	}
-	if err := tbl.copyPage(2, 1, ref, true); !errors.Is(err, xtypes.ErrPerm) {
-		t.Fatalf("write copy through ro grant: %v", err)
-	}
-	if err := tbl.copyPage(2, 1, ref, false); err != nil {
-		t.Fatalf("read copy: %v", err)
-	}
 }
 
 func TestEndAccessBlockedWhileMapped(t *testing.T) {
@@ -78,20 +72,6 @@ func TestEndAccessBlockedWhileMapped(t *testing.T) {
 	}
 	if err := tbl.EndAccess(1, ref); !errors.Is(err, xtypes.ErrBadGrant) {
 		t.Fatalf("double revoke: %v", err)
-	}
-}
-
-func TestCopyRequiresEndpoint(t *testing.T) {
-	tbl := newTable()
-	ref, _ := tbl.Grant(1, 2, 10, false)
-	if err := tbl.copyPage(3, 1, ref, false); !errors.Is(err, xtypes.ErrPerm) {
-		t.Fatalf("third-party copy: %v", err)
-	}
-	if err := tbl.copyPage(1, 1, ref, true); err != nil {
-		t.Fatalf("owner copy: %v", err)
-	}
-	if err := tbl.copyPage(2, 1, ref, true); err != nil {
-		t.Fatalf("grantee copy: %v", err)
 	}
 }
 

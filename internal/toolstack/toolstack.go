@@ -469,9 +469,3 @@ func (ts *Toolstack) forget(dom xtypes.DomID) {
 	ts.usedMB -= memOf(g.Cfg)
 	delete(ts.guests, dom)
 }
-
-// pause pauses a managed guest.
-func (ts *Toolstack) pause(dom xtypes.DomID) error { return ts.H.Pause(ts.Dom, dom) }
-
-// unpause resumes a managed guest.
-func (ts *Toolstack) unpause(dom xtypes.DomID) error { return ts.H.Unpause(ts.Dom, dom) }

@@ -197,28 +197,6 @@ func TestConstraintFailureLeavesNoDebris(t *testing.T) {
 	}
 }
 
-func TestPauseUnpause(t *testing.T) {
-	r := newRig(t)
-	defer r.env.Shutdown()
-	g, err := r.create(t, toolstack.GuestConfig{Name: "g", Image: osimage.ImgGuestPV})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := toolstack.Pause(r.ts, g.Dom); err != nil {
-		t.Fatal(err)
-	}
-	d, _ := r.h.Domain(g.Dom)
-	if d.State != hv.StatePaused {
-		t.Fatalf("state = %v", d.State)
-	}
-	if err := toolstack.Unpause(r.ts, g.Dom); err != nil {
-		t.Fatal(err)
-	}
-	if d.State != hv.StateRunning {
-		t.Fatalf("state = %v", d.State)
-	}
-}
-
 func TestAdoptExistingDomain(t *testing.T) {
 	r := newRig(t)
 	defer r.env.Shutdown()
